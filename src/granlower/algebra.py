@@ -149,21 +149,42 @@ CalExpr = (
 )
 
 
+_SELECTION = (("nonzero", "selection start"), ("positive", "selection count"))
+
+# keyword -> (node class, scalar parameter kinds).  The scalars are the
+# class's leading fields and always precede the operands in the source text;
+# each kind names a _Parser method and its extra arguments.
+OPERATORS: dict[str, tuple[type, tuple[tuple[str, ...], ...]]] = {
+    "group": (Group, (("positive", "grouping size"),)),
+    "alter": (Alter, (("positive", "alter slot"), ("integer",), ("positive", "alter cycle"))),
+    "shift": (Shift, (("integer",),)),
+    "combine": (Combine, ()),
+    "anchor": (AnchoredGroup, ()),
+    "subset": (Subset, (("bound", "lo"), ("bound", "hi"))),
+    "selectdown": (SelectDown, _SELECTION),
+    "selectup": (SelectUp, ()),
+    "selectintersect": (SelectIntersect, _SELECTION),
+    "union": (Union, ()),
+    "intersect": (Intersection, ()),
+    "difference": (Difference, ()),
+}
+
+# node class -> (keyword, scalar parameter kinds)
+_SIGNATURES = {cls: (word, kinds) for word, (cls, kinds) in OPERATORS.items()}
+
+
+def _split(expr: CalExpr) -> tuple[str, tuple, list, list[CalExpr]]:
+    """An operator node's keyword, scalar kinds, scalar values and operands."""
+    signature = _SIGNATURES.get(type(expr))
+    if signature is None:
+        raise TypeError(f"not a calendar expression: {expr!r}")
+    word, kinds = signature
+    values = [getattr(expr, f) for f in expr.__match_args__]
+    return word, kinds, values[: len(kinds)], values[len(kinds) :]
+
+
 def children(expr: CalExpr) -> tuple[CalExpr, ...]:
-    match expr:
-        case Bottom() | Name():
-            return ()
-        case Group(_, e) | Shift(_, e) | Subset(_, _, e):
-            return (e,)
-        case Alter(_, _, _, unit, base):
-            return (unit, base)
-        case Combine(a, b) | AnchoredGroup(a, b) | SelectUp(a, b):
-            return (a, b)
-        case SelectDown(_, _, a, b) | SelectIntersect(_, _, a, b):
-            return (a, b)
-        case Union(a, b) | Intersection(a, b) | Difference(a, b):
-            return (a, b)
-    raise TypeError(f"not a calendar expression: {expr!r}")
+    return () if isinstance(expr, (Bottom, Name)) else tuple(_split(expr)[3])
 
 
 @dataclass(frozen=True)
@@ -174,14 +195,6 @@ class CalendarDoc:
     bottom: str
     definitions: tuple[tuple[str, CalExpr], ...]
 
-    def expr_for(self, name: str) -> CalExpr:
-        if name == self.bottom:
-            return Bottom()
-        for n, e in self.definitions:
-            if n == name:
-                return e
-        raise KeyError(name)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.definitions)
@@ -190,23 +203,7 @@ class CalendarDoc:
 # ---------------------------------------------------------------------------
 # parsing
 
-KEYWORDS = {
-    "calendar",
-    "bottom",
-    "inf",
-    "group",
-    "alter",
-    "shift",
-    "combine",
-    "anchor",
-    "subset",
-    "selectdown",
-    "selectup",
-    "selectintersect",
-    "union",
-    "intersect",
-    "difference",
-}
+KEYWORDS = {"calendar", "bottom", "inf", *OPERATORS}
 
 _TOKEN = re.compile(
     r"""
@@ -357,7 +354,7 @@ class _Parser:
             if word not in seen:
                 raise CalendarSyntaxError(f"unknown granularity {word!r}", tok.line, tok.column)
             return Name(word)
-        if word in ("calendar", "bottom", "inf"):
+        if word not in OPERATORS:
             raise CalendarSyntaxError(f"unexpected keyword {word!r}", tok.line, tok.column)
         if word == "subset" and not outermost:
             raise CalendarSyntaxError(
@@ -371,73 +368,26 @@ class _Parser:
         return expr
 
     def _operator_body(self, word: str, tok: _Token, bottom: str, seen: set[str]) -> CalExpr:
-        def sub() -> CalExpr:
-            return self.expression(bottom, seen)
-
-        def comma() -> None:
-            self.take(",")
-
-        if word == "group":
-            size = self.positive("grouping size")
-            comma()
-            return Group(size, sub())
-        if word == "alter":
-            slot = self.positive("alter slot")
-            comma()
-            change = self.integer()
-            comma()
-            cycle = self.positive("alter cycle")
-            if slot > cycle:
-                raise CalendarSyntaxError(
-                    f"alter slot {slot} exceeds cycle {cycle}", tok.line, tok.column
-                )
-            comma()
-            unit = sub()
-            comma()
-            return Alter(slot, change, cycle, unit, sub())
-        if word == "shift":
-            offset = self.integer()
-            comma()
-            return Shift(offset, sub())
-        if word == "combine":
-            container = sub()
-            comma()
-            return Combine(container, sub())
-        if word == "anchor":
-            filler = sub()
-            comma()
-            return AnchoredGroup(filler, sub())
-        if word == "subset":
-            lo = self.bound("lo")
-            comma()
-            hi = self.bound("hi")
-            if lo is not None and hi is not None and lo > hi:
-                raise CalendarSyntaxError(
-                    f"subset bounds {lo}..{hi} are inverted", tok.line, tok.column
-                )
-            comma()
-            return Subset(lo, hi, sub())
-        if word in ("selectdown", "selectintersect"):
-            start = self.nonzero("selection start")
-            comma()
-            count = self.positive("selection count")
-            comma()
-            source = sub()
-            comma()
-            other = sub()
-            cls = SelectDown if word == "selectdown" else SelectIntersect
-            return cls(start, count, source, other)
-        if word == "selectup":
-            source = sub()
-            comma()
-            return SelectUp(source, sub())
-        if word in ("union", "intersect", "difference"):
-            left = sub()
-            comma()
-            right = sub()
-            cls = {"union": Union, "intersect": Intersection, "difference": Difference}[word]
-            return cls(left, right)
-        raise CalendarSyntaxError(f"unknown operator {word!r}", tok.line, tok.column)
+        cls, kinds = OPERATORS[word]
+        args: list = []
+        for kind, *extra in kinds:
+            if args:
+                self.take(",")
+            args.append(getattr(self, kind)(*extra))
+        # cross-checks of the scalars run before any operand is parsed
+        if cls is Alter and args[0] > args[2]:
+            raise CalendarSyntaxError(
+                f"alter slot {args[0]} exceeds cycle {args[2]}", tok.line, tok.column
+            )
+        if cls is Subset and None not in args and args[0] > args[1]:
+            raise CalendarSyntaxError(
+                f"subset bounds {args[0]}..{args[1]} are inverted", tok.line, tok.column
+            )
+        for _ in cls.__match_args__[len(kinds):]:
+            if args:
+                self.take(",")
+            args.append(self.expression(bottom, seen))
+        return cls(*args)
 
 
 def parse_calendar(text: str) -> CalendarDoc:
@@ -450,44 +400,18 @@ def parse_calendar(text: str) -> CalendarDoc:
 
 
 def print_expr(expr: CalExpr, bottom: str) -> str:
-    def b(x: int | None, side: str) -> str:
-        if x is None:
-            return "-inf" if side == "lo" else "inf"
-        return str(x)
-
-    match expr:
-        case Bottom():
-            return bottom
-        case Name(n):
-            return n
-        case Group(m, e):
-            return f"group({m}, {print_expr(e, bottom)})"
-        case Alter(slot, change, cycle, unit, base):
-            return (
-                f"alter({slot}, {change}, {cycle}, "
-                f"{print_expr(unit, bottom)}, {print_expr(base, bottom)})"
-            )
-        case Shift(m, e):
-            return f"shift({m}, {print_expr(e, bottom)})"
-        case Combine(c, p):
-            return f"combine({print_expr(c, bottom)}, {print_expr(p, bottom)})"
-        case AnchoredGroup(f, a):
-            return f"anchor({print_expr(f, bottom)}, {print_expr(a, bottom)})"
-        case Subset(lo, hi, e):
-            return f"subset({b(lo, 'lo')}, {b(hi, 'hi')}, {print_expr(e, bottom)})"
-        case SelectDown(k, l, s, c):
-            return f"selectdown({k}, {l}, {print_expr(s, bottom)}, {print_expr(c, bottom)})"
-        case SelectUp(s, w):
-            return f"selectup({print_expr(s, bottom)}, {print_expr(w, bottom)})"
-        case SelectIntersect(k, l, s, p):
-            return f"selectintersect({k}, {l}, {print_expr(s, bottom)}, {print_expr(p, bottom)})"
-        case Union(a, c):
-            return f"union({print_expr(a, bottom)}, {print_expr(c, bottom)})"
-        case Intersection(a, c):
-            return f"intersect({print_expr(a, bottom)}, {print_expr(c, bottom)})"
-        case Difference(a, c):
-            return f"difference({print_expr(a, bottom)}, {print_expr(c, bottom)})"
-    raise TypeError(f"not a calendar expression: {expr!r}")
+    if isinstance(expr, Bottom):
+        return bottom
+    if isinstance(expr, Name):
+        return expr.name
+    word, kinds, scalars, operands = _split(expr)
+    # only subset bounds are ever None: unbounded on that side
+    texts = [
+        str(x) if x is not None else "-inf" if kind == ("bound", "lo") else "inf"
+        for x, kind in zip(scalars, kinds)
+    ]
+    texts.extend(print_expr(e, bottom) for e in operands)
+    return f"{word}({', '.join(texts)})"
 
 
 def print_calendar(doc: CalendarDoc) -> str:
@@ -585,46 +509,26 @@ def validate(doc: CalendarDoc) -> ValidationReport:
 def rewrite_to_bottom(doc: CalendarDoc, target: str) -> CalExpr:
     """Close the definition of ``target`` over the bottom granularity.
 
-    Every name is inlined with its (already rewritten) definition; the same
-    object is reused wherever a name recurs, so structurally identical
-    subexpressions are shared and the conversion cache sees each once.
+    Definitions are closed in file order, so every name is replaced by its
+    already closed definition and recursion never leaves one definition's
+    syntax.  The same object is reused wherever a name recurs, so
+    structurally identical subexpressions are shared and the conversion
+    cache sees each once.  Raises :class:`KeyError` for an unknown target.
     """
-    memo: dict[str, CalExpr] = {}
-
-    def close(expr: CalExpr) -> CalExpr:
-        match expr:
-            case Bottom():
-                return expr
-            case Name(n):
-                if n not in memo:
-                    memo[n] = close(doc.expr_for(n))
-                return memo[n]
-            case Group(m, e):
-                return Group(m, close(e))
-            case Alter(slot, change, cycle, unit, base):
-                return Alter(slot, change, cycle, close(unit), close(base))
-            case Shift(m, e):
-                return Shift(m, close(e))
-            case Combine(c, p):
-                return Combine(close(c), close(p))
-            case AnchoredGroup(f, a):
-                return AnchoredGroup(close(f), close(a))
-            case Subset(lo, hi, e):
-                return Subset(lo, hi, close(e))
-            case SelectDown(k, l, s, c):
-                return SelectDown(k, l, close(s), close(c))
-            case SelectUp(s, w):
-                return SelectUp(close(s), close(w))
-            case SelectIntersect(k, l, s, p):
-                return SelectIntersect(k, l, close(s), close(p))
-            case Union(a, b):
-                return Union(close(a), close(b))
-            case Intersection(a, b):
-                return Intersection(close(a), close(b))
-            case Difference(a, b):
-                return Difference(close(a), close(b))
-        raise TypeError(f"not a calendar expression: {expr!r}")
-
     if target == doc.bottom:
         return Bottom()
-    return close(doc.expr_for(target))
+    closed: dict[str, CalExpr] = {}
+
+    def close(expr: CalExpr) -> CalExpr:
+        if isinstance(expr, Name):
+            return closed[expr.name]
+        if isinstance(expr, Bottom):
+            return expr
+        _, _, scalars, operands = _split(expr)
+        return type(expr)(*scalars, *map(close, operands))
+
+    for name, expr in doc.definitions:
+        closed[name] = close(expr)
+        if name == target:
+            return closed[name]
+    raise KeyError(target)

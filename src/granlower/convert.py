@@ -56,11 +56,6 @@ class TraceEntry:
     explicit_count: int
 
 
-StepTrace = list  # list[TraceEntry]
-
-ConversionCache = dict  # dict[ast.CalExpr, Rep]
-
-
 def delta_select(items: Sequence[int], start: int, count: int) -> list[int]:
     """Positional selection: ``count`` elements of ``items`` from position ``start``.
 
@@ -212,7 +207,7 @@ def convert_alter(
     return normalize_alignment(raw, period, step)
 
 
-def convert_shift(g: Rep, offset: int, max_period: int = DEFAULT_MAX_PERIOD) -> Rep:
+def convert_shift(g: Rep, offset: int) -> Rep:
     if isinstance(g, EmptyRep):
         return g
     _require_full_integer(g, "shift")
@@ -275,9 +270,7 @@ def convert_anchored(
 # granule-oriented operations
 
 
-def convert_subset(
-    g: Rep, lo: int | None, hi: int | None, max_period: int = DEFAULT_MAX_PERIOD
-) -> Rep:
+def convert_subset(g: Rep, lo: int | None, hi: int | None) -> Rep:
     if lo is not None and hi is not None and lo > hi:
         raise ConversionError(f"subset bounds {lo}..{hi} are inverted")
     if isinstance(g, EmptyRep):
@@ -414,8 +407,7 @@ def relabel(g: Rep, old: int, new: int) -> Rep:
     with the same period; granule contents are untouched."""
     if isinstance(g, EmptyRep):
         raise ConversionError("cannot relabel an empty granularity")
-    core = PeriodicRep(g.period, g.step, g.explicit) if g.bounds else g
-    if not core.is_label(old):
+    if not g.unbounded().expand(old):
         raise ConversionError(f"{old} does not label a non-empty granule")
     if g.anchor_label != g.first_label:
         raise ConversionError("relabel requires an aligned representation")
@@ -449,7 +441,7 @@ def gstp_relabel(g: Rep) -> Rep:
     """
     if isinstance(g, EmptyRep):
         raise ConversionError("cannot relabel an empty granularity")
-    core = PeriodicRep(g.period, g.step, g.explicit) if g.bounds else g
+    core = g.unbounded()
     anchor = core.anchor_label
     if min(core.expand(anchor)) > 0:
         target = anchor
@@ -466,9 +458,9 @@ def convert_expression(
     expr: ast.CalExpr,
     *,
     minimize: bool = True,
-    cache: ConversionCache | None = None,
+    cache: dict | None = None,
     max_period: int = DEFAULT_MAX_PERIOD,
-    trace: StepTrace | None = None,
+    trace: list[TraceEntry] | None = None,
 ) -> Rep:
     """Lower a closed calendar expression to its periodic representation.
 
@@ -484,20 +476,12 @@ def convert_expression(
     return _convert(expr, minimize, cache, max_period, trace, root=True, path=())
 
 
+# operation names in error paths and traces: the keywords, except that the
+# intersection keeps the set-operation name convert_set_op knows it by
 _OP_NAMES = {
     ast.Bottom: "bottom",
-    ast.Group: "group",
-    ast.Alter: "alter",
-    ast.Shift: "shift",
-    ast.Combine: "combine",
-    ast.AnchoredGroup: "anchor",
-    ast.Subset: "subset",
-    ast.SelectDown: "selectdown",
-    ast.SelectUp: "selectup",
-    ast.SelectIntersect: "selectintersect",
-    ast.Union: "union",
+    **{cls: word for word, (cls, _) in ast.OPERATORS.items()},
     ast.Intersection: "intersection",
-    ast.Difference: "difference",
 }
 
 
@@ -526,7 +510,7 @@ def _convert(expr, minimize, cache, max_period, trace, root, path):
             case ast.Alter(slot, change, cycle, unit, base):
                 result = convert_alter(conv(unit), conv(base), slot, change, cycle, max_period)
             case ast.Shift(offset, e):
-                result = convert_shift(conv(e), offset, max_period)
+                result = convert_shift(conv(e), offset)
             case ast.Combine(container, pieces):
                 result = convert_combine(conv(container), conv(pieces), max_period)
             case ast.AnchoredGroup(filler, anchors):
@@ -534,7 +518,7 @@ def _convert(expr, minimize, cache, max_period, trace, root, path):
             case ast.Subset(lo, hi, e):
                 if not root:
                     raise ConversionError("subset below the outermost operation", here)
-                result = convert_subset(conv(e), lo, hi, max_period)
+                result = convert_subset(conv(e), lo, hi)
             case ast.SelectDown(start, count, source, container):
                 result = convert_select_down(conv(source), conv(container), start, count, max_period)
             case ast.SelectUp(source, witness):

@@ -15,6 +15,7 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Granule = tuple[int, ...]
@@ -57,7 +58,9 @@ class PeriodicRep:
     :meth:`is_canonical`).  Direct construction accepts any valid window.
     """
 
-    __slots__ = ("period", "step", "explicit", "bounds", "_cover", "_anchor")
+    __slots__ = (
+        "period", "step", "explicit", "bounds", "first_label", "labels", "_cover", "_anchor"
+    )
 
     def __init__(
         self,
@@ -97,21 +100,19 @@ class PeriodicRep:
                 raise GranularityError(f"bounds {bounds} are inverted")
         self.period = period
         self.step = step
-        self.explicit = granules
+        # read-only, so the lazy caches below can never go stale
+        self.explicit: Mapping[int, Granule] = MappingProxyType(granules)
         self.bounds = bounds
+        self.first_label = first
+        self.labels = tuple(labels)  # labels of the explicit window, ascending
         self._cover: dict[int, int] | None = None
         self._anchor: int | None = None
 
-    # -- basic views ---------------------------------------------------
-
-    @property
-    def first_label(self) -> int:
-        return min(self.explicit)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        """Labels of the explicit window, ascending."""
-        return tuple(sorted(self.explicit))
+    def unbounded(self) -> "PeriodicRep":
+        """The unbounded core: the same granularity without subset bounds."""
+        if self.bounds is None:
+            return self
+        return PeriodicRep(self.period, self.step, self.explicit)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -122,11 +123,11 @@ class PeriodicRep:
             and self.bounds == other.bounds
         )
 
-    __hash__ = None  # mutable-looking mapping inside; identity hashing misleads
+    __hash__ = None  # equal by value; identity hashing would mislead
 
     def __repr__(self) -> str:
         b = f", bounds={self.bounds}" if self.bounds else ""
-        return f"PeriodicRep(period={self.period}, step={self.step}, explicit={self.explicit}{b})"
+        return f"PeriodicRep(period={self.period}, step={self.step}, explicit={dict(self.explicit)}{b})"
 
     # -- queries -------------------------------------------------------
 
@@ -154,9 +155,6 @@ class PeriodicRep:
             return ()
         delta = self.period * ((label - 1) // self.step - (k - 1) // self.step)
         return shift_granule(stored, delta)
-
-    def is_label(self, label: int) -> bool:
-        return bool(self.expand(label))
 
     def _cover_index(self) -> dict[int, int]:
         # covered instant in [1, period] -> covering label
@@ -233,16 +231,7 @@ class PeriodicRep:
     def anchor_label(self) -> int:
         """Label of the granule covering the smallest positive covered instant."""
         if self._anchor is None:
-            best: tuple[int, int] | None = None
-            for a, g in self.explicit.items():
-                s = _ceil_div(1 - g[-1], self.period)
-                instant = min(
-                    x + s * self.period for x in g if x + s * self.period >= 1
-                )
-                if best is None or instant < best[0]:
-                    best = (instant, a + s * self.step)
-            assert best is not None
-            self._anchor = best[1]
+            self._anchor = _anchor_label(self.explicit.items(), self.period, self.step)
         return self._anchor
 
     @property
@@ -285,16 +274,20 @@ class PeriodicRep:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "Rep":
-        if data.get("empty"):
-            return EmptyRep()
-        explicit = {int(e["label"]): e["bottoms"] for e in data["labels"]}
-        raw = data.get("bounds")
-        if raw is None:
-            bounds = None
-        else:
-            lo, hi = raw["first"], raw["last"]
-            bounds = (None if lo == "-inf" else int(lo), None if hi == "+inf" else int(hi))
-        return PeriodicRep(int(data["P"]), int(data["N"]), explicit, bounds)
+        """Inverse of :meth:`to_json_dict`; malformed input raises GranularityError."""
+        try:
+            if data.get("empty"):
+                return EmptyRep()
+            explicit = {int(e["label"]): e["bottoms"] for e in data["labels"]}
+            raw = data.get("bounds")
+            if raw is None:
+                bounds = None
+            else:
+                lo, hi = raw["first"], raw["last"]
+                bounds = (None if lo == "-inf" else int(lo), None if hi == "+inf" else int(hi))
+            return PeriodicRep(int(data["P"]), int(data["N"]), explicit, bounds)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GranularityError(f"malformed representation: {exc!r}") from None
 
 
 class EmptyRep:
@@ -308,9 +301,6 @@ class EmptyRep:
 
     def expand(self, label: int) -> tuple[()]:
         return ()
-
-    def is_label(self, label: int) -> bool:
-        return False
 
     def up(self, instant: int) -> None:
         return None
@@ -335,6 +325,21 @@ class EmptyRep:
 
 
 Rep = PeriodicRep | EmptyRep
+
+
+def _anchor_label(granules: Iterable[tuple[int, Granule]], period: int, step: int) -> int:
+    """Label of the granule covering the smallest positive covered instant,
+    among the ``(label, granule)`` pairs and their (period, step) copies."""
+    best: tuple[int, int] | None = None  # (instant, label)
+    for lab, g in granules:
+        s = _ceil_div(1 - g[-1], period)
+        instant = min(x + s * period for x in g if x + s * period >= 1)
+        if best is not None and instant == best[0]:
+            raise GranularityError("two granules cover the same instant")
+        if best is None or instant < best[0]:
+            best = (instant, lab + s * step)
+    assert best is not None
+    return best[1]
 
 
 def normalize_alignment(
@@ -368,16 +373,7 @@ def normalize_alignment(
                 )
         else:
             families[res] = (lab, g)
-    best: tuple[int, int, int] | None = None  # (instant, family label, shift)
-    for lab, g in families.values():
-        s = _ceil_div(1 - g[-1], period)
-        instant = min(x + s * period for x in g if x + s * period >= 1)
-        if best is not None and instant == best[0]:
-            raise GranularityError("two granules cover the same instant")
-        if best is None or instant < best[0]:
-            best = (instant, lab, s)
-    assert best is not None
-    anchor = best[1] + best[2] * step
+    anchor = _anchor_label(families.values(), period, step)
     explicit = {}
     for lab, g in families.values():
         s = (anchor + step - 1 - lab) // step

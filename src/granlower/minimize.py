@@ -40,9 +40,8 @@ def is_valid_reduction(rep: PeriodicRep, alpha: int) -> bool:
         return False
     if rep.period % alpha or rep.step % alpha or len(rep.explicit) % alpha:
         return False
-    if rep.bounds is not None:
-        # the repetition pattern lives on the unbounded core; bounds only clip
-        rep = PeriodicRep(rep.period, rep.step, rep.explicit)
+    # the repetition pattern lives on the unbounded core; bounds only clip
+    rep = rep.unbounded()
     dn = rep.step // alpha
     dp = rep.period // alpha
     return all(

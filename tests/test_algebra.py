@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from granlower import algebra as ast
@@ -90,6 +92,8 @@ class TestPrint:
             "l = difference(f, f);\n"
             "m = subset(-inf, inf, a);\n"
         )
+        # a new operator must join this round trip
+        assert set(re.findall(r"\b([a-z]+)\(", src)) == set(ast.OPERATORS)
         doc = parse_calendar(src)
         assert parse_calendar(print_calendar(doc)) == doc
 
@@ -160,6 +164,18 @@ class TestRewrite:
             closed = rewrite_to_bottom(doc, name)
             wrapper = CalendarDoc("w", doc.bottom, ((name, closed),))
             assert rewrite_to_bottom(wrapper, name) == closed
+
+    def test_long_name_chain_converts(self):
+        # closing one definition at a time keeps recursion within one
+        # definition's syntax, so only the converter's depth limits the chain
+        from granlower.convert import convert_expression
+        from granlower.core import PeriodicRep
+
+        lines = ["calendar c bottom d;", "x0 = group(3, d);"]
+        lines += [f"x{i} = shift(1, x{i - 1});" for i in range(1, 450)]
+        doc = parse_calendar("\n".join(lines) + "\n")
+        rep = convert_expression(rewrite_to_bottom(doc, "x449"))
+        assert rep == PeriodicRep(3, 1, {450: (1, 2, 3)})
 
     def test_unknown_target(self):
         doc = parse_calendar("calendar c bottom day;\n")

@@ -216,6 +216,38 @@ class TestJson:
         assert EmptyRep().to_json_dict() == {"empty": True}
         assert PeriodicRep.from_json_dict({"empty": True}) == EmptyRep()
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"P": 7, "N": 1, "labels": [{"label": "x", "bottoms": [1]}], "bounds": None},
+            {"P": "a", "N": 1, "labels": [{"label": 1, "bottoms": [1]}], "bounds": None},
+            {
+                "P": 7,
+                "N": 1,
+                "labels": [{"label": 1, "bottoms": [1]}],
+                "bounds": {"first": "z", "last": "+inf"},
+            },
+            [],
+        ],
+    )
+    def test_malformed_input_raises_granularity_error(self, data):
+        with pytest.raises(GranularityError):
+            PeriodicRep.from_json_dict(data)
+
+
+class TestImmutable:
+    def test_explicit_window_is_read_only(self, week_parts_rep):
+        week_parts_rep.up(5)  # builds the lazy cover index
+        with pytest.raises(TypeError):
+            week_parts_rep.explicit[3] = (8, 9)
+        with pytest.raises(TypeError):
+            del week_parts_rep.explicit[4]
+        assert week_parts_rep.up(9) == 3 and week_parts_rep.expand(3) == tuple(range(8, 13))
+
+    def test_repr_shows_plain_window(self, week_rep):
+        assert repr(week_rep) == "PeriodicRep(period=7, step=1, explicit={1: (1, 2, 3, 4, 5, 6, 7)})"
+
 
 class TestProperties:
     @given(periodic_reps(), st.integers(-3, 3))
