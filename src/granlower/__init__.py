@@ -4,6 +4,7 @@ from .algebra import (
     CalendarDoc,
     CalendarSyntaxError,
     ValidationReport,
+    needed_definitions,
     parse_calendar,
     print_calendar,
     rewrite_to_bottom,
@@ -27,12 +28,19 @@ from .core import (
     up_label,
 )
 from .minimize import is_valid_reduction, minimize
-from .oracle import WindowEval, compare_with_periodic, eval_window, verify_against_oracle
+from .oracle import (
+    Definitions,
+    WindowEval,
+    compare_with_periodic,
+    eval_window,
+    verify_against_oracle,
+)
 
 __all__ = [
     "CalendarDoc",
     "CalendarSyntaxError",
     "ConversionError",
+    "Definitions",
     "EmptyRep",
     "GranularityError",
     "PeriodicRep",
@@ -48,6 +56,7 @@ __all__ = [
     "is_valid_reduction",
     "mindist",
     "minimize",
+    "needed_definitions",
     "normalize_alignment",
     "parse_calendar",
     "print_calendar",

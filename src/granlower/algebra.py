@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +505,32 @@ def validate(doc: CalendarDoc) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # rewriting
+
+
+def needed_definitions(
+    doc: CalendarDoc, targets: Iterable[str]
+) -> list[tuple[str, CalExpr]]:
+    """The definitions ``targets`` depend on, themselves included, in file order.
+
+    Names only refer to earlier definitions, so one backward pass over the
+    document, walking each needed definition's own syntax with an explicit
+    stack, finds them all; its cost is linear in the document's size.
+    """
+    needed = set(targets)
+    found = []
+    for name, expr in reversed(doc.definitions):
+        if name not in needed:
+            continue
+        found.append((name, expr))
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Name):
+                needed.add(node.name)
+            else:
+                stack.extend(children(node))
+    found.reverse()
+    return found
 
 
 def rewrite_to_bottom(doc: CalendarDoc, target: str) -> CalExpr:

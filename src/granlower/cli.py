@@ -20,15 +20,26 @@ Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 conversion precondition,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
 
-from .algebra import CalendarSyntaxError, parse_calendar, rewrite_to_bottom, validate
+from . import algebra as ast
+
+# rewrite_to_bottom is no longer called here; it stays bound in this module
+# for callers that look it up, or wrap it, here
+from .algebra import (
+    CalendarSyntaxError,
+    needed_definitions,
+    parse_calendar,
+    rewrite_to_bottom,
+    validate,
+)
 from .convert import ConversionError, convert_expression, gstp_relabel
 from .core import EmptyRep, PeriodicRep, Rep
-from .oracle import verify_against_oracle
+from .oracle import Definitions, verify_against_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,23 +89,28 @@ def _load(path: str):
 
 
 def _convert_all(doc, names, minimize: bool, gstp: bool, max_period: int):
+    # Each needed definition converts once, from its own syntax, in file
+    # order.  Binding its name in the cache afterwards makes every later
+    # reference a single lookup, so no closed tree is ever built.
+    wanted = set(names)
+    todo = needed_definitions(doc, names)
+    if doc.bottom in wanted:
+        todo.insert(0, (doc.bottom, ast.Bottom()))
     cache: dict = {}
-    out = []
-    for name in names:
+    reps = {}
+    for name, expr in todo:
         try:
             rep = convert_expression(
-                rewrite_to_bottom(doc, name),
-                minimize=minimize,
-                cache=cache,
-                max_period=max_period,
+                expr, minimize=minimize, cache=cache, max_period=max_period
             )
-            if gstp:
+            cache[ast.Name(name)] = rep
+            if gstp and name in wanted:
                 rep = gstp_relabel(rep)
         except ConversionError as exc:
             print(f"granlower: {name}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_CONVERT) from None
-        out.append((name, rep))
-    return out
+        reps[name] = rep
+    return [(name, reps[name]) for name in names]
 
 
 def _render_text(reps) -> str:
@@ -117,7 +133,7 @@ def _render_text(reps) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _render_json(doc, reps) -> str:
+def _render_json(doc, reps, out) -> None:
     payload = {
         "calendar": doc.name,
         "bottom": doc.bottom,
@@ -125,7 +141,13 @@ def _render_json(doc, reps) -> str:
             {"name": name, "rep": rep.to_json_dict()} for name, rep in reps
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    # the same bytes as json.dumps(payload, indent=2), written in batches of
+    # chunks so the whole text is never held at once; a write per chunk
+    # would be slow on a pipe
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        out.write(batch)
+    out.write("\n")
 
 
 def cmd_convert(args) -> int:
@@ -136,7 +158,7 @@ def cmd_convert(args) -> int:
         return EXIT_PARSE
     reps = _convert_all(doc, names, args.minimize, args.gstp, _max_period())
     if args.format == "json":
-        sys.stdout.write(_render_json(doc, reps))
+        _render_json(doc, reps, sys.stdout)
     else:
         sys.stdout.write(_render_text(reps))
     return EXIT_OK
@@ -204,12 +226,14 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         window = needed
+    # window >= 3 * every period, so every definition is scored on the same
+    # interior; verifying it by name evaluates each definition once per window
+    base = window // 3
+    definitions = Definitions(doc.definitions)
     rng = random.Random(args.seed)
     failures = 0
     for name, rep in reps:
-        period = rep.period if isinstance(rep, PeriodicRep) else max(window // 3, 1)
-        base = max(period, window // 3, 1)
-        issues = verify_against_oracle(rewrite_to_bottom(doc, name), rep, base)
+        issues = verify_against_oracle(ast.Name(name), rep, base, definitions=definitions)
         probe = _spot_check(rep, rng, 1, base)
         if probe:
             issues.append(probe)

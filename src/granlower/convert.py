@@ -7,9 +7,10 @@ and assemble those granules' contents.  The raw labeled granules are then
 re-anchored with :func:`granlower.core.normalize_alignment`, so every
 converter output is aligned to bottom instant 1.
 
-:func:`convert_expression` drives the recursion over a closed expression,
-caching converted subexpressions by structural equality and optionally
-interleaving period minimization after every operation.
+:func:`convert_expression` drives the recursion over an expression, caching
+converted subexpressions by structural equality (names resolve through the
+same cache) and optionally interleaving period minimization after every
+operation.
 """
 
 from __future__ import annotations
@@ -462,14 +463,17 @@ def convert_expression(
     max_period: int = DEFAULT_MAX_PERIOD,
     trace: list[TraceEntry] | None = None,
 ) -> Rep:
-    """Lower a closed calendar expression to its periodic representation.
+    """Lower a calendar expression to its periodic representation.
 
-    The expression must contain no name references (see
-    :func:`granlower.algebra.rewrite_to_bottom`) and may use ``subset`` only
-    at the root.  With ``minimize`` set, the period minimization step runs
-    after every operation's conversion.  ``cache`` maps already-converted
-    subexpressions (by structural equality) to their representations; reuse it
-    across calls only with an unchanged ``minimize`` flag.
+    The expression may use ``subset`` only at the root.  With ``minimize``
+    set, the period minimization step runs after every operation's
+    conversion.  ``cache`` maps already-converted subexpressions (by
+    structural equality) to their representations; reuse it across calls
+    only with an unchanged ``minimize`` flag.  A ``Name`` node is allowed
+    when ``cache`` binds it: converting a document one definition at a time,
+    in file order, and binding ``cache[Name(name)]`` to each result makes
+    every reference one lookup.  Otherwise the expression must be closed
+    (see :func:`granlower.algebra.rewrite_to_bottom`).
     """
     if cache is None:
         cache = {}

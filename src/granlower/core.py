@@ -43,6 +43,13 @@ def shift_granule(g: Granule, delta: int) -> Granule:
     return tuple(x + delta for x in g)
 
 
+def _json_int(value: object) -> int:
+    # bool is an int subclass, but true and false are not labels or instants
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class PeriodicRep:
     """One explicit window of granules plus the (period, step) repetition rule.
 
@@ -274,18 +281,28 @@ class PeriodicRep:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "Rep":
-        """Inverse of :meth:`to_json_dict`; malformed input raises GranularityError."""
+        """Inverse of :meth:`to_json_dict`; malformed input raises GranularityError.
+
+        Every number must be a JSON integer: a float, a string or a boolean
+        is rejected rather than coerced.
+        """
         try:
             if data.get("empty"):
                 return EmptyRep()
-            explicit = {int(e["label"]): e["bottoms"] for e in data["labels"]}
+            explicit = {
+                _json_int(e["label"]): [_json_int(t) for t in e["bottoms"]]
+                for e in data["labels"]
+            }
             raw = data.get("bounds")
             if raw is None:
                 bounds = None
             else:
                 lo, hi = raw["first"], raw["last"]
-                bounds = (None if lo == "-inf" else int(lo), None if hi == "+inf" else int(hi))
-            return PeriodicRep(int(data["P"]), int(data["N"]), explicit, bounds)
+                bounds = (
+                    None if lo == "-inf" else _json_int(lo),
+                    None if hi == "+inf" else _json_int(hi),
+                )
+            return PeriodicRep(_json_int(data["P"]), _json_int(data["N"]), explicit, bounds)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GranularityError(f"malformed representation: {exc!r}") from None
 

@@ -14,6 +14,7 @@ score granules that are trusted and fully inside the interior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from . import algebra as ast
 from .core import Rep
@@ -66,44 +67,52 @@ def _merge(out: _GranuleMap, label: int, granule: tuple[int, ...], trusted: bool
         out[label] = (granule, trusted)
 
 
-def _eval(expr: ast.CalExpr, lo: int, hi: int) -> _GranuleMap:
+def _eval(expr: ast.CalExpr, lo: int, hi: int, bound: Mapping[str, _GranuleMap]) -> _GranuleMap:
+    def ev(sub: ast.CalExpr) -> _GranuleMap:
+        return _eval(sub, lo, hi, bound)
+
     match expr:
         case ast.Bottom():
             return {t: ((t,), True) for t in range(lo, hi + 1)}
         case ast.Group(size, sub):
-            return _ev_group(size, _eval(sub, lo, hi))
+            return _ev_group(size, ev(sub))
         case ast.Alter(slot, change, cycle, unit, base):
-            return _ev_alter(slot, change, cycle, _eval(unit, lo, hi), _eval(base, lo, hi))
+            return _ev_alter(slot, change, cycle, ev(unit), ev(base))
         case ast.Shift(offset, sub):
-            return {j + offset: e for j, e in _eval(sub, lo, hi).items()}
+            return {j + offset: e for j, e in ev(sub).items()}
         case ast.Combine(container, pieces):
-            return _ev_combine(_eval(container, lo, hi), _eval(pieces, lo, hi))
+            return _ev_combine(ev(container), ev(pieces))
         case ast.AnchoredGroup(filler, anchors):
-            return _ev_anchored(_eval(filler, lo, hi), _eval(anchors, lo, hi))
+            return _ev_anchored(ev(filler), ev(anchors))
         case ast.Subset(blo, bhi, sub):
             return {
                 j: e
-                for j, e in _eval(sub, lo, hi).items()
+                for j, e in ev(sub).items()
                 if (blo is None or j >= blo) and (bhi is None or j <= bhi)
             }
         case ast.SelectDown(start, count, source, container):
-            return _ev_select_down(start, count, _eval(source, lo, hi), _eval(container, lo, hi))
+            return _ev_select_down(start, count, ev(source), ev(container))
         case ast.SelectUp(source, witness):
-            return _ev_select_up(_eval(source, lo, hi), _eval(witness, lo, hi))
+            return _ev_select_up(ev(source), ev(witness))
         case ast.SelectIntersect(start, count, source, probe):
-            return _ev_select_intersect(start, count, _eval(source, lo, hi), _eval(probe, lo, hi))
+            return _ev_select_intersect(start, count, ev(source), ev(probe))
         case ast.Union(a, b):
-            return _ev_union(_eval(a, lo, hi), _eval(b, lo, hi))
+            return _ev_union(ev(a), ev(b))
         case ast.Intersection(a, b):
-            m1, m2 = _eval(a, lo, hi), _eval(b, lo, hi)
+            m1, m2 = ev(a), ev(b)
             return {
                 j: (g, tr and m2[j][1]) for j, (g, tr) in m1.items() if j in m2
             }
         case ast.Difference(a, b):
-            m1, m2 = _eval(a, lo, hi), _eval(b, lo, hi)
+            m1, m2 = ev(a), ev(b)
             return {j: e for j, e in m1.items() if j not in m2}
         case ast.Name(name):
-            raise ValueError(f"expression still references {name!r}; rewrite it first")
+            # memoized maps are shared between their users, never mutated
+            if name not in bound:
+                raise ValueError(
+                    f"expression references {name!r}; rewrite it first or pass its definitions"
+                )
+            return bound[name]
     raise TypeError(f"not a calendar expression: {expr!r}")
 
 
@@ -234,10 +243,48 @@ def _ev_union(m1: _GranuleMap, m2: _GranuleMap) -> _GranuleMap:
     return out
 
 
+class Definitions:
+    """Named definitions that ``Name`` nodes evaluate to, memoized per window.
+
+    A window's memo fills in file order, and only as far as the latest
+    definition an evaluated expression references.  Each definition is thus
+    evaluated at most once per window, from its own syntax, and recursion
+    never leaves one definition.
+    """
+
+    def __init__(self, definitions: Iterable[tuple[str, ast.CalExpr]]):
+        self._definitions = tuple(definitions)
+        self._position = {name: i for i, (name, _) in enumerate(self._definitions)}
+        self._windows: dict[tuple[int, int], dict[str, _GranuleMap]] = {}
+
+    def bound(self, expr: ast.CalExpr, lo: int, hi: int) -> dict[str, _GranuleMap]:
+        """Granule maps on ``[lo, hi]`` of every definition ``expr`` references."""
+        last = -1
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Name):
+                last = max(last, self._position.get(node.name, -1))
+            else:
+                stack.extend(ast.children(node))
+        memo = self._windows.setdefault((lo, hi), {})
+        for name, body in self._definitions[len(memo) : last + 1]:
+            memo[name] = _eval(body, lo, hi, memo)
+        return memo
+
+
 def eval_window(
-    expr: ast.CalExpr, lo: int, hi: int, guard: int | None = None
+    expr: ast.CalExpr,
+    lo: int,
+    hi: int,
+    guard: int | None = None,
+    definitions: Definitions | None = None,
 ) -> WindowEval:
     """Materialize ``expr`` on bottom instants ``[lo, hi]``.
+
+    ``Name`` nodes in ``expr`` resolve through ``definitions``; without it
+    the expression must be closed (see
+    :func:`granlower.algebra.rewrite_to_bottom`).
 
     ``guard`` instants on each side are treated as scaffolding: the window's
     ``interior`` is ``[lo + guard, hi - guard]`` and only granules wholly
@@ -249,7 +296,8 @@ def eval_window(
         guard = (hi - lo + 1) // 3
     if guard < 0 or hi - lo + 1 <= 2 * guard:
         raise ValueError(f"window [{lo}, {hi}] is too small for guard {guard}")
-    evaluated = _eval(expr, lo, hi)
+    bound = definitions.bound(expr, lo, hi) if definitions is not None else {}
+    evaluated = _eval(expr, lo, hi, bound)
     return WindowEval(
         lo=lo,
         hi=hi,
@@ -286,9 +334,17 @@ def compare_with_periodic(window: WindowEval, rep: Rep) -> list[str]:
 
 
 def verify_against_oracle(
-    expr: ast.CalExpr, rep: Rep, period: int, attempts: int = 4
+    expr: ast.CalExpr,
+    rep: Rep,
+    period: int,
+    attempts: int = 4,
+    definitions: Definitions | None = None,
 ) -> list[str]:
     """Score ``rep`` against oracle windows whose interior is ``[1, period]``.
+
+    ``definitions`` resolves the names ``expr`` references (see
+    :func:`eval_window`); sharing one across calls with the same ``period``
+    evaluates each definition once per window.
 
     Deeply nested expressions can out-reach any fixed guard: every level of
     anchoring or selection consults one neighbor beyond its operand's horizon.
@@ -300,7 +356,9 @@ def verify_against_oracle(
     factor = 1
     for _ in range(max(attempts, 1)):
         guard = period * factor + 8 * factor
-        window = eval_window(expr, 1 - guard, period + guard, guard=guard)
+        window = eval_window(
+            expr, 1 - guard, period + guard, guard=guard, definitions=definitions
+        )
         issues = compare_with_periodic(window, rep)
         if not issues or not all("missing from oracle" in line for line in issues):
             return issues

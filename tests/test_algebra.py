@@ -6,6 +6,7 @@ from granlower import algebra as ast
 from granlower.algebra import (
     CalendarDoc,
     CalendarSyntaxError,
+    needed_definitions,
     parse_calendar,
     print_calendar,
     rewrite_to_bottom,
@@ -176,6 +177,20 @@ class TestRewrite:
         doc = parse_calendar("\n".join(lines) + "\n")
         rep = convert_expression(rewrite_to_bottom(doc, "x449"))
         assert rep == PeriodicRep(3, 1, {450: (1, 2, 3)})
+
+    def test_needed_definitions_in_file_order(self):
+        doc = parse_calendar(
+            "calendar c bottom d;\n"
+            "w = group(7, d);\n"
+            "unused = group(5, d);\n"
+            "m = selectdown(1, 1, d, w);\n"
+            "pair = union(m, shift(7, m));\n"
+            "later = group(2, unused);\n"
+        )
+        found = needed_definitions(doc, ["pair"])
+        assert [name for name, _ in found] == ["w", "m", "pair"]
+        assert found == [d for d in doc.definitions if d[0] in {"w", "m", "pair"}]
+        assert needed_definitions(doc, ["d"]) == []
 
     def test_unknown_target(self):
         doc = parse_calendar("calendar c bottom day;\n")

@@ -1,4 +1,9 @@
+import contextlib
 import json
+import signal
+import time
+
+import pytest
 
 from granlower.cli import main
 from granlower.core import PeriodicRep
@@ -8,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# "broken" fails to convert: group needs a full-integer labeled operand, and
+# monday keeps one day label in seven
+FAILING = (
+    "calendar c bottom day;\n"
+    "week = group(7, day);\n"
+    "monday = selectdown(1, 1, day, week);\n"
+    "broken = group(2, monday);\n"
+)
 
 
 class TestConvert:
@@ -117,6 +132,29 @@ class TestConvert:
         code, _, err = run(capsys, "convert", str(fixtures_dir / "basic.cal"), "--target", "b_month30")
         assert code == 3 and "cap" in err
 
+    def test_json_matches_json_dumps(self, capsys, fixtures_dir):
+        code, out, _ = run(capsys, "convert", str(fixtures_dir / "toyleap.cal"))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_target_ignores_unrelated_failing_definition(self, capsys, tmp_path):
+        path = tmp_path / "bad.cal"
+        path.write_text(FAILING + "later = group(3, week);\n")
+        code, out, err = run(capsys, "convert", str(path), "--target", "later")
+        assert code == 0, err
+        (entry,) = json.loads(out)["granularities"]
+        assert entry["name"] == "later" and entry["rep"]["P"] == 21
+        code, out, _ = run(capsys, "up", str(path), "later", "--instant", "22")
+        assert code == 0 and out == "2\n"
+        assert run(capsys, "convert", str(path))[0] == 3
+
+    def test_target_failing_dependency_names_it(self, capsys, tmp_path):
+        path = tmp_path / "bad.cal"
+        path.write_text(FAILING + "later = shift(1, broken);\n")
+        code, _, err = run(capsys, "convert", str(path), "--target", "later")
+        assert code == 3
+        assert err.startswith("granlower: broken: ") and "full-integer" in err
+
     def test_gregorian_year(self, capsys, fixtures_dir):
         code, out, _ = run(
             capsys, "convert", str(fixtures_dir / "gregorian.cal"), "--target", "year"
@@ -206,3 +244,55 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(fixtures_dir / "basic.cal"))
         assert code == 4
         assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block after ``seconds``, rather than hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestDeepDefinitions:
+    """Definitions convert and verify one at a time, so cost grows with the
+    text of the calendar: shared names are not re-expanded per use and a
+    long chain of names never deepens the recursion."""
+
+    @pytest.mark.parametrize("command", ["convert", "verify"])
+    @pytest.mark.parametrize("op, n", [("union", 300), ("shift", 5000)])
+    def test_chain(self, capsys, tmp_path, command, op, n):
+        body = "union(x{0}, x{0})" if op == "union" else "shift(1, x{0})"
+        lines = ["calendar chain bottom day;", "x0 = group(3, day);"]
+        lines += [f"x{i} = " + body.format(i - 1) + ";" for i in range(1, n + 1)]
+        path = tmp_path / "chain.cal"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        with deadline(60):
+            code, out, err = run(capsys, command, str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        if command == "verify":
+            verdicts = out.splitlines()
+            assert len(verdicts) == n + 1 and all(v.startswith("ok ") for v in verdicts)
+        else:
+            entries = json.loads(out)["granularities"]
+            assert len(entries) == n + 1
+            for i, entry in enumerate(entries):
+                # a union of x with itself is x; each shift adds one to every label
+                label = 1 if op == "union" else 1 + i
+                assert entry["rep"] == {
+                    "P": 3, "N": 1, "labels": [{"label": label, "bottoms": [1, 2, 3]}],
+                    "bounds": None,
+                }
+        # a few tenths of a second on a 2-core machine; closed trees took
+        # 2^n steps on the union chain and overflowed the stack on the shift chain
+        assert elapsed < 20

@@ -229,6 +229,18 @@ class TestJson:
                 "bounds": {"first": "z", "last": "+inf"},
             },
             [],
+            {"P": 7.9, "N": 1, "labels": [{"label": 1.5, "bottoms": [1.5, 2]}], "bounds": None},
+            {"P": 7.0, "N": 1, "labels": [{"label": 1, "bottoms": [1]}], "bounds": None},
+            {"P": 7, "N": True, "labels": [{"label": 1, "bottoms": [1]}], "bounds": None},
+            {"P": 7, "N": 1, "labels": [{"label": 1, "bottoms": [1.5]}], "bounds": None},
+            {"P": 7, "N": 1, "labels": [{"label": 1, "bottoms": ["1"]}], "bounds": None},
+            {"P": "7", "N": 1, "labels": [{"label": 1, "bottoms": [1]}], "bounds": None},
+            {
+                "P": 7,
+                "N": 1,
+                "labels": [{"label": 1, "bottoms": [1]}],
+                "bounds": {"first": 1.5, "last": "+inf"},
+            },
         ],
     )
     def test_malformed_input_raises_granularity_error(self, data):

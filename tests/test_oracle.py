@@ -6,7 +6,15 @@ import pytest
 from granlower import algebra as ast
 from granlower.convert import convert_expression, delta_select
 from granlower.core import PeriodicRep
-from granlower.oracle import OracleError, _positions, compare_with_periodic, eval_window
+from granlower.algebra import parse_calendar, rewrite_to_bottom
+from granlower.oracle import (
+    Definitions,
+    OracleError,
+    _positions,
+    compare_with_periodic,
+    eval_window,
+    verify_against_oracle,
+)
 
 from .exprgen import sample_convertible
 
@@ -132,3 +140,30 @@ class TestTranslationStability:
             for j, g in small.granules.items():
                 if j in small.trusted and ilo <= g[0] and g[-1] <= ihi:
                     assert big.granules.get(j) == g
+
+
+class TestDefinitions:
+    def test_names_match_closed_trees(self, fixtures_dir):
+        doc = parse_calendar((fixtures_dir / "basic.cal").read_text())
+        definitions = Definitions(doc.definitions)
+        for name, expr in doc.definitions:
+            closed = eval_window(rewrite_to_bottom(doc, name), -69, 140)
+            assert eval_window(ast.Name(name), -69, 140, definitions=definitions) == closed
+            assert eval_window(expr, -69, 140, definitions=definitions) == closed
+
+    def test_each_definition_evaluated_once_per_window(self):
+        # closed, the last name would be a tree of 2^40 leaves
+        lines = ["calendar c bottom d;", "x0 = group(3, d);"]
+        lines += [f"x{i} = union(x{i - 1}, x{i - 1});" for i in range(1, 41)]
+        doc = parse_calendar("\n".join(lines) + "\n")
+        definitions = Definitions(doc.definitions)
+        rep = PeriodicRep(3, 1, {1: (1, 2, 3)})
+        assert verify_against_oracle(ast.Name("x40"), rep, 3, definitions=definitions) == []
+        w = eval_window(ast.Name("x20"), -29, 33, definitions=definitions)
+        assert w.granules[2] == (4, 5, 6)
+
+    def test_unbound_name_rejected(self):
+        with pytest.raises(ValueError, match="references 'week'"):
+            eval_window(ast.Group(2, ast.Name("week")), 1, 30)
+        with pytest.raises(ValueError, match="references 'week'"):
+            eval_window(ast.Name("week"), 1, 30, definitions=Definitions(()))
