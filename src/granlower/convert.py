@@ -26,14 +26,20 @@ from .core import (
     GranularityError,
     PeriodicRep,
     Rep,
+    Runs,
+    join_runs,
     mindist,
-    normalize_alignment,
+    runs_within,
 )
+
+# the converters build granules as runs; the re-anchoring step keeps the
+# name normalize_alignment here, where callers and wrappers look it up
+from .core import normalize_runs as normalize_alignment
 from .minimize import minimize as minimize_rep
 
 DEFAULT_MAX_PERIOD = 10**9
 
-BOTTOM_REP = PeriodicRep(1, 1, {1: (1,)})
+BOTTOM_REP = PeriodicRep.from_runs(1, 1, {1: ((1, 1),)})
 
 
 class ConversionError(Exception):
@@ -108,27 +114,11 @@ def _require_unbounded(rep: Rep, op: str) -> None:
         raise ConversionError(f"operand of {op} carries subset bounds")
 
 
-def _covering_labels(rep: PeriodicRep, instants: Sequence[int]) -> list[int]:
-    # labels of granules touching any of the instants; complete for the
-    # contained/containing/intersecting searches because any such granule
-    # shares at least one instant with the probe set
-    found = {rep.up(t) for t in instants}
-    found.discard(None)
-    return sorted(found)
-
-
-def _contained_labels(rep: PeriodicRep, container: Sequence[int]) -> list[int]:
-    pool = set(container)
+def _contained_labels(rep: PeriodicRep, container: Runs) -> list[int]:
+    # complete: a contained granule shares an instant with its container
     return [
-        j for j in _covering_labels(rep, container) if set(rep.expand(j)) <= pool
+        j for j in rep.labels_touching(container) if runs_within(rep.runs_of(j), container)
     ]
-
-
-def _concat(granules: list) -> tuple[int, ...]:
-    out: list[int] = []
-    for g in granules:
-        out.extend(g)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +136,7 @@ def convert_group(g: Rep, size: int, max_period: int = DEFAULT_MAX_PERIOD) -> Re
     step = g.step // d
     first = (g.anchor_label - 1) // size + 1
     raw = {
-        i: _concat([g.expand(j) for j in range((i - 1) * size + 1, i * size + 1)])
+        i: g.span((i - 1) * size + 1, i * size)
         for i in range(first, first + step)
     }
     return normalize_alignment(raw, period, step)
@@ -192,9 +182,9 @@ def convert_alter(
     period = _cap(int(period_frac), max_period)
     raw = {}
     for i in range(1, step + 1):
-        g = base.expand(i)
-        b = unit.up(g[0])
-        t = unit.up(g[-1])
+        g = base.runs_of(i)
+        b = unit.up(g[0][0])
+        t = unit.up(g[-1][1])
         assert b is not None and t is not None  # partition already verified
         h = (i - slot) // cycle + 1
         if (i - slot) % cycle == 0:
@@ -204,7 +194,7 @@ def convert_alter(
         t2 = t + h * change
         if b2 > t2:
             raise ConversionError(f"alter shrank granule {i} away entirely")
-        raw[i] = _concat([unit.expand(j) for j in range(b2, t2 + 1)])
+        raw[i] = unit.span(b2, t2)
     return normalize_alignment(raw, period, step)
 
 
@@ -213,7 +203,7 @@ def convert_shift(g: Rep, offset: int) -> Rep:
         return g
     _require_full_integer(g, "shift")
     base = g.first_label + offset
-    raw = {i: g.expand(i - offset) for i in range(base, base + g.step)}
+    raw = {i: g.runs_of(i - offset) for i in range(base, base + g.step)}
     return normalize_alignment(raw, g.period, g.step)
 
 
@@ -229,10 +219,9 @@ def convert_combine(
     piece_cover = set(pieces.lhat(period))
     raw = {}
     for i in container.lhat(period):
-        granule = container.expand(i)
-        inside = _contained_labels(pieces, granule)
+        inside = _contained_labels(pieces, container.runs_of(i))
         if any(j in piece_cover for j in inside):
-            raw[i] = _concat([pieces.expand(j) for j in inside])
+            raw[i] = join_runs(pieces.runs_of(j) for j in inside)
     if not raw:
         return EmptyRep()
     return normalize_alignment(raw, period, step)
@@ -251,7 +240,7 @@ def convert_anchored(
     checked = anchors.lhat(horizon)
     checked.append(anchors.next_label(checked[-1]))
     for a in checked:
-        if filler.expand(a) != anchors.expand(a):
+        if filler.runs_of(a) != anchors.runs_of(a):
             raise ConversionError(
                 f"anchor label {a} is not label-aligned with the filler granularity"
             )
@@ -263,7 +252,7 @@ def convert_anchored(
     raw = {}
     for i in labels:
         nxt = anchors.next_label(i)
-        raw[i] = _concat([filler.expand(j) for j in range(i, nxt)])
+        raw[i] = filler.span(i, nxt - 1)
     return normalize_alignment(raw, period, step)
 
 
@@ -303,11 +292,11 @@ def convert_select_down(
     source_cover = set(source.lhat(period))
     kept: set[int] = set()
     for i in container.lhat(period):
-        inside = _contained_labels(source, container.expand(i))
+        inside = _contained_labels(source, container.runs_of(i))
         kept.update(a for a in delta_select(inside, start, count) if a in source_cover)
     if not kept:
         return EmptyRep()
-    return normalize_alignment({a: source.expand(a) for a in kept}, period, step)
+    return normalize_alignment({a: source.runs_of(a) for a in kept}, period, step)
 
 
 def convert_select_up(
@@ -320,7 +309,7 @@ def convert_select_up(
     period, step = _select_frame(source, witness, max_period)
     raw = {}
     for i in source.lhat(period):
-        granule = source.expand(i)
+        granule = source.runs_of(i)
         if _contained_labels(witness, granule):
             raw[i] = granule
     if not raw:
@@ -340,11 +329,11 @@ def convert_select_intersect(
     source_cover = set(source.lhat(period))
     kept: set[int] = set()
     for i in probe.lhat(period):
-        touching = _covering_labels(source, probe.expand(i))
+        touching = source.labels_touching(probe.runs_of(i))
         kept.update(a for a in delta_select(touching, start, count) if a in source_cover)
     if not kept:
         return EmptyRep()
-    return normalize_alignment({a: source.expand(a) for a in kept}, period, step)
+    return normalize_alignment({a: source.runs_of(a) for a in kept}, period, step)
 
 
 def convert_set_op(
@@ -367,9 +356,9 @@ def convert_set_op(
     step = period * left.step // left.period
     cover1 = left.lhat(period)
     cover2 = right.lhat(period)
-    merged: dict[int, tuple[int, ...]] = {a: left.expand(a) for a in cover1}
+    merged: dict[int, Runs] = {a: left.runs_of(a) for a in cover1}
     for a in cover2:
-        g = right.expand(a)
+        g = right.runs_of(a)
         if a in merged:
             if merged[a] != g:
                 raise ConversionError(
@@ -379,12 +368,12 @@ def convert_set_op(
             merged[a] = g
     ordered = sorted(merged)
     for a, b in zip(ordered, ordered[1:]):
-        if merged[a][-1] >= merged[b][0]:
+        if merged[a][-1][1] >= merged[b][0][0]:
             raise ConversionError(
                 f"granules of labels {a} and {b} interleave; the operands are not "
                 "label-aligned subgranularities of one granularity"
             )
-    if merged[ordered[-1]][-1] >= merged[ordered[0]][0] + period:
+    if merged[ordered[-1]][-1][1] >= merged[ordered[0]][0][0] + period:
         raise ConversionError("operand granules interleave across the period boundary")
     set1, set2 = set(cover1), set(cover2)
     if which == "union":
@@ -408,7 +397,7 @@ def relabel(g: Rep, old: int, new: int) -> Rep:
     with the same period; granule contents are untouched."""
     if isinstance(g, EmptyRep):
         raise ConversionError("cannot relabel an empty granularity")
-    if not g.unbounded().expand(old):
+    if not g.unbounded().runs_of(old):
         raise ConversionError(f"{old} does not label a non-empty granule")
     if g.anchor_label != g.first_label:
         raise ConversionError("relabel requires an aligned representation")
@@ -419,7 +408,7 @@ def relabel(g: Rep, old: int, new: int) -> Rep:
     new_reduced = new - cycles * count
     offset = window.index(reduced)
     base = new_reduced - offset
-    explicit = {base + idx: g.explicit[lab] for idx, lab in enumerate(window)}
+    runs = {base + idx: g._runs[lab] for idx, lab in enumerate(window)}
     bounds = None
     if g.bounds is not None:
 
@@ -431,7 +420,7 @@ def relabel(g: Rep, old: int, new: int) -> Rep:
             return base + idx + c * count
 
         bounds = (map_label(g.bounds[0]), map_label(g.bounds[1]))
-    return PeriodicRep(g.period, count, explicit, bounds)
+    return PeriodicRep.from_runs(g.period, count, runs, bounds)
 
 
 def gstp_relabel(g: Rep) -> Rep:
@@ -444,7 +433,7 @@ def gstp_relabel(g: Rep) -> Rep:
         raise ConversionError("cannot relabel an empty granularity")
     core = g.unbounded()
     anchor = core.anchor_label
-    if min(core.expand(anchor)) > 0:
+    if core.runs_of(anchor)[0][0] > 0:
         target = anchor
     else:
         target = core.next_label(anchor)

@@ -8,6 +8,12 @@ query, which is what :class:`PeriodicRep` encodes.  This module also carries
 the label-set machinery (the explicit window, the cover set of a horizon, the
 anchor label) that the lowering formulas in :mod:`granlower.convert` consume.
 
+Granules are stored run-length encoded: sorted, disjoint, non-adjacent
+``(start, end)`` runs of bottom indices, both ends inclusive.  Every internal
+operation works on runs, so cost grows with the number of granules and runs,
+not with the number of bottom instants they cover; index tuples are built
+only where the public surface hands them out.
+
 All arithmetic is exact integer arithmetic; there are no floats anywhere.
 Values are immutable after construction and safe to share across threads.
 """
@@ -15,10 +21,12 @@ Values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 Granule = tuple[int, ...]
+Runs = tuple[tuple[int, int], ...]
 Bounds = tuple[int | None, int | None]
 
 
@@ -31,16 +39,50 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def as_granule(indices: Iterable[int]) -> Granule:
-    """Normalize an iterable of bottom indices into a sorted, deduplicated granule."""
-    g = tuple(sorted(set(indices)))
-    if not g:
+def _encode(indices: Iterable[int]) -> Runs:
+    """Runs of an iterable of bottom indices; an empty one raises GranularityError."""
+    out: list[tuple[int, int]] = []
+    for x in sorted(set(indices)):
+        if out and x == out[-1][1] + 1:
+            out[-1] = (out[-1][0], x)
+        else:
+            out.append((x, x))
+    if not out:
         raise GranularityError("a granule must contain at least one bottom index")
-    return g
+    return tuple(out)
 
 
-def shift_granule(g: Granule, delta: int) -> Granule:
-    return tuple(x + delta for x in g)
+def join_runs(granules: Iterable[Runs]) -> Runs:
+    """The union of several granules' runs, merged back into canonical runs."""
+    out: list[tuple[int, int]] = []
+    for s, e in sorted(chain.from_iterable(granules)):
+        if out and s <= out[-1][1] + 1:
+            if e > out[-1][1]:
+                out[-1] = (out[-1][0], e)
+        else:
+            out.append((s, e))
+    return tuple(out)
+
+
+def shift_runs(runs: Runs, delta: int) -> Runs:
+    return tuple((s + delta, e + delta) for s, e in runs)
+
+
+def runs_within(inner: Runs, outer: Runs) -> bool:
+    """True when every instant of ``inner`` lies in ``outer`` (both canonical)."""
+    starts = [s for s, _ in outer]
+    for s, e in inner:
+        i = bisect_right(starts, s) - 1
+        if i < 0 or outer[i][1] < e:
+            return False
+    return True
+
+
+def _indices(runs: Runs, delta: int = 0) -> Granule:
+    if len(runs) == 1:
+        s, e = runs[0]
+        return tuple(range(s + delta, e + delta + 1))
+    return tuple(chain.from_iterable(range(s + delta, e + delta + 1) for s, e in runs))
 
 
 def _json_int(value: object) -> int:
@@ -48,6 +90,55 @@ def _json_int(value: object) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+class _Granules(Mapping):
+    """Read-only ``label -> granule`` view of a window's runs.
+
+    Length, iteration and membership read the labels only; a granule's index
+    tuple is built on each access.
+    """
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: dict[int, Runs]):
+        self._runs = runs
+
+    def __getitem__(self, label: int) -> Granule:
+        return _indices(self._runs[label])
+
+    def __len__(self) -> int:
+        return len(self._runs)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._runs)
+
+    def __contains__(self, label: object) -> bool:
+        return label in self._runs
+
+
+class _CoverIndex:
+    """Runs of ``[1, period]`` sorted by start, with the label covering each."""
+
+    __slots__ = ("starts", "ends", "labels", "gapless")
+
+    def __init__(self, entries: list[tuple[int, int, int]], period: int):
+        entries.sort()
+        for (_, e0, _), (s1, _, _) in zip(entries, entries[1:]):
+            if s1 <= e0:
+                raise GranularityError(f"instant {s1} covered by two granules")
+        self.starts = [s for s, _, _ in entries]
+        self.ends = [e for _, e, _ in entries]
+        self.labels = [a for _, _, a in entries]
+        # runs are disjoint, so they cover every instant when their sizes add up
+        self.gapless = sum(self.ends) - sum(self.starts) + len(entries) == period
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def touching(self, lo: int, hi: int) -> range:
+        """Positions of the runs that share an instant with ``[lo, hi]``."""
+        return range(bisect_left(self.ends, lo), bisect_right(self.starts, hi))
 
 
 class PeriodicRep:
@@ -60,13 +151,18 @@ class PeriodicRep:
     window.  ``bounds`` optionally clips the label set to ``[first, last]``
     (``None`` on a side means unbounded); ``bounds=None`` is fully unbounded.
 
+    ``explicit`` is a read-only view over run-length storage: it builds a
+    granule's index tuple when the granule is read, so memory grows with the
+    number of runs rather than with the instants they cover.
+
     Lowered representations are *aligned*: ``first_label`` is the label of
     the granule covering the smallest positive covered instant (see
     :meth:`is_canonical`).  Direct construction accepts any valid window.
     """
 
     __slots__ = (
-        "period", "step", "explicit", "bounds", "first_label", "labels", "_cover", "_anchor"
+        "period", "step", "explicit", "bounds", "first_label", "labels",
+        "_runs", "_cover", "_anchor",
     )
 
     def __init__(
@@ -82,20 +178,24 @@ class PeriodicRep:
             raise GranularityError(f"step must be positive, got {step}")
         if not explicit:
             raise GranularityError("explicit window is empty (use EmptyRep)")
-        granules = {int(lab): as_granule(g) for lab, g in explicit.items()}
-        labels = sorted(granules)
+        if isinstance(explicit, _Granules):
+            runs = explicit._runs  # already canonical, and never mutated
+        else:
+            runs = {int(lab): _encode(g) for lab, g in explicit.items()}
+            explicit = _Granules(runs)
+        labels = sorted(runs)
         first = labels[0]
         if labels[-1] - first >= step:
             raise GranularityError(
                 f"explicit labels {labels} do not fit in one window of {step}"
             )
         for a, b in zip(labels, labels[1:]):
-            if granules[a][-1] >= granules[b][0]:
+            if runs[a][-1][1] >= runs[b][0][0]:
                 raise GranularityError(
                     f"granules of labels {a} and {b} are not time-ordered"
                 )
         # the window must also precede its own next copy
-        if granules[labels[-1]][-1] >= granules[first][0] + period:
+        if runs[labels[-1]][-1][1] >= runs[first][0][0] + period:
             raise GranularityError(
                 "last explicit granule overlaps the next period's first granule"
             )
@@ -107,13 +207,21 @@ class PeriodicRep:
                 raise GranularityError(f"bounds {bounds} are inverted")
         self.period = period
         self.step = step
+        self._runs = runs
         # read-only, so the lazy caches below can never go stale
-        self.explicit: Mapping[int, Granule] = MappingProxyType(granules)
+        self.explicit: Mapping[int, Granule] = explicit
         self.bounds = bounds
         self.first_label = first
         self.labels = tuple(labels)  # labels of the explicit window, ascending
-        self._cover: dict[int, int] | None = None
+        self._cover: _CoverIndex | None = None
         self._anchor: int | None = None
+
+    @staticmethod
+    def from_runs(
+        period: int, step: int, runs: dict[int, Runs], bounds: Bounds | None = None
+    ) -> "PeriodicRep":
+        """Build from canonical runs directly; the dict is kept, not copied."""
+        return PeriodicRep(period, step, _Granules(runs), bounds)
 
     def unbounded(self) -> "PeriodicRep":
         """The unbounded core: the same granularity without subset bounds."""
@@ -126,7 +234,7 @@ class PeriodicRep:
             isinstance(other, PeriodicRep)
             and self.period == other.period
             and self.step == other.step
-            and self.explicit == other.explicit
+            and self._runs == other._runs
             and self.bounds == other.bounds
         )
 
@@ -148,60 +256,102 @@ class PeriodicRep:
             return False
         return True
 
-    def expand(self, label: int) -> Granule | tuple[()]:
-        """Bottom indices of the granule with this label; ``()`` off the label set."""
+    def _locate(self, label: int) -> tuple[Runs, int] | None:
+        # the stored runs of this label's residue and the shift to reach it
         if not self._in_bounds(label):
-            return ()
+            return None
         base = self.first_label
         jp = (label - 1) % self.step + 1
         k = ((base - 1) // self.step) * self.step + jp
         if k < base:
             k += self.step
-        stored = self.explicit.get(k)
+        stored = self._runs.get(k)
         if stored is None:
-            return ()
-        delta = self.period * ((label - 1) // self.step - (k - 1) // self.step)
-        return shift_granule(stored, delta)
+            return None
+        return stored, self.period * ((label - 1) // self.step - (k - 1) // self.step)
 
-    def _cover_index(self) -> dict[int, int]:
-        # covered instant in [1, period] -> covering label
+    def runs_of(self, label: int) -> Runs:
+        """Runs of the granule with this label; ``()`` off the label set."""
+        found = self._locate(label)
+        if found is None:
+            return ()
+        stored, delta = found
+        return shift_runs(stored, delta) if delta else stored
+
+    def expand(self, label: int) -> Granule | tuple[()]:
+        """Bottom indices of the granule with this label; ``()`` off the label set."""
+        found = self._locate(label)
+        if found is None:
+            return ()
+        return _indices(*found)
+
+    def _cover_index(self) -> _CoverIndex:
+        # runs of the covered instants in [1, period], with their labels
         if self._cover is None:
-            cover: dict[int, int] = {}
-            for a, g in self.explicit.items():
-                s_lo = _ceil_div(1 - g[-1], self.period)
-                s_hi = (self.period - g[0]) // self.period
+            entries = []
+            p = self.period
+            for a, runs in self._runs.items():
+                s_lo = _ceil_div(1 - runs[-1][1], p)
+                s_hi = (p - runs[0][0]) // p
                 for s in range(s_lo, s_hi + 1):
-                    for x in g:
-                        y = x + s * self.period
-                        if 1 <= y <= self.period:
-                            if y in cover:
-                                raise GranularityError(
-                                    f"instant {y} covered by two granules"
-                                )
-                            cover[y] = a + s * self.step
-            self._cover = cover
+                    shift = s * p
+                    label = a + s * self.step
+                    for x, y in runs:
+                        lo, hi = max(x + shift, 1), min(y + shift, p)
+                        if lo <= hi:
+                            entries.append((lo, hi, label))
+            self._cover = _CoverIndex(entries, p)
         return self._cover
 
     def up(self, instant: int) -> int | None:
         """Label of the granule covering a bottom instant, or ``None`` in a gap."""
         cycles = (instant - 1) // self.period
         reduced = instant - cycles * self.period  # in [1, period]
-        label = self._cover_index().get(reduced)
-        if label is None:
+        cover = self._cover_index()
+        i = bisect_right(cover.starts, reduced) - 1
+        if i < 0 or cover.ends[i] < reduced:
             return None
-        label += cycles * self.step
+        label = cover.labels[i] + cycles * self.step
         return label if self._in_bounds(label) else None
+
+    def _covered(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+        # (start, end, label) of the unbounded core's runs that meet [lo, hi]
+        cover = self._cover_index()
+        p = self.period
+        for cycle in range((lo - 1) // p, (hi - 1) // p + 1):
+            offset = cycle * p
+            for i in cover.touching(max(lo - offset, 1), min(hi - offset, p)):
+                yield (
+                    cover.starts[i] + offset,
+                    cover.ends[i] + offset,
+                    cover.labels[i] + cycle * self.step,
+                )
+
+    def labels_touching(self, probe: Runs) -> list[int]:
+        """Labels of the unbounded core's granules sharing an instant with ``probe``."""
+        return sorted({a for lo, hi in probe for _, _, a in self._covered(lo, hi)})
+
+    def span(self, first: int, last: int) -> Runs:
+        """Runs of the union of granules ``first`` to ``last``, both in the label set.
+
+        Granules are time-ordered, so the union is every covered instant from
+        the start of ``first`` to the end of ``last``.
+        """
+        lo, hi = self.runs_of(first)[0][0], self.runs_of(last)[-1][1]
+        if self._cover_index().gapless:
+            return ((lo, hi),)
+        return join_runs([[(max(s, lo), min(e, hi)) for s, e, _ in self._covered(lo, hi)]])
 
     def next_label(self, label: int) -> int:
         """Smallest label of the (unbounded core) label set strictly above ``label``."""
         return min(
-            a + _ceil_div(label + 1 - a, self.step) * self.step for a in self.explicit
+            a + _ceil_div(label + 1 - a, self.step) * self.step for a in self.labels
         )
 
     def prev_label(self, label: int) -> int:
         """Greatest label of the (unbounded core) label set strictly below ``label``."""
         return max(
-            a + ((label - 1 - a) // self.step) * self.step for a in self.explicit
+            a + ((label - 1 - a) // self.step) * self.step for a in self.labels
         )
 
     def lhat(self, horizon: int) -> list[int]:
@@ -215,18 +365,18 @@ class PeriodicRep:
                 f"horizon {horizon} is not a positive multiple of period {self.period}"
             )
         out = []
-        for a, g in self.explicit.items():
-            s_lo = _ceil_div(1 - g[-1], self.period)
-            s_hi = (horizon - g[0]) // self.period
+        for a, runs in self._runs.items():
+            s_lo = _ceil_div(1 - runs[-1][1], self.period)
+            s_hi = (horizon - runs[0][0]) // self.period
             out.extend(a + s * self.step for s in range(s_lo, s_hi + 1))
         return sorted(out)
 
     def labels_within(self, lo: int, hi: int) -> list[int]:
         """Labels whose non-empty granules lie entirely inside ``[lo, hi]``."""
         out = []
-        for a, g in self.explicit.items():
-            s_lo = _ceil_div(lo - g[0], self.period)
-            s_hi = (hi - g[-1]) // self.period
+        for a, runs in self._runs.items():
+            s_lo = _ceil_div(lo - runs[0][0], self.period)
+            s_hi = (hi - runs[-1][1]) // self.period
             out.extend(
                 a + s * self.step
                 for s in range(s_lo, s_hi + 1)
@@ -238,7 +388,7 @@ class PeriodicRep:
     def anchor_label(self) -> int:
         """Label of the granule covering the smallest positive covered instant."""
         if self._anchor is None:
-            self._anchor = _anchor_label(self.explicit.items(), self.period, self.step)
+            self._anchor = _anchor_label(self._runs.items(), self.period, self.step)
         return self._anchor
 
     @property
@@ -252,12 +402,12 @@ class PeriodicRep:
         """The same granularity re-described with pair ``(alpha*period, alpha*step)``."""
         if alpha < 1:
             raise GranularityError("scale factor must be positive")
-        explicit = {
-            a + r * self.step: shift_granule(g, r * self.period)
-            for a, g in self.explicit.items()
+        runs = {
+            a + r * self.step: shift_runs(g, r * self.period)
+            for a, g in self._runs.items()
             for r in range(alpha)
         }
-        return PeriodicRep(self.period * alpha, self.step * alpha, explicit, self.bounds)
+        return PeriodicRep.from_runs(self.period * alpha, self.step * alpha, runs, self.bounds)
 
     # -- serialization ---------------------------------------------------
 
@@ -344,19 +494,56 @@ class EmptyRep:
 Rep = PeriodicRep | EmptyRep
 
 
-def _anchor_label(granules: Iterable[tuple[int, Granule]], period: int, step: int) -> int:
+def _anchor_label(granules: Iterable[tuple[int, Runs]], period: int, step: int) -> int:
     """Label of the granule covering the smallest positive covered instant,
-    among the ``(label, granule)`` pairs and their (period, step) copies."""
+    among the ``(label, runs)`` pairs and their (period, step) copies."""
     best: tuple[int, int] | None = None  # (instant, label)
-    for lab, g in granules:
-        s = _ceil_div(1 - g[-1], period)
-        instant = min(x + s * period for x in g if x + s * period >= 1)
+    for lab, runs in granules:
+        s = _ceil_div(1 - runs[-1][1], period)
+        shift = s * period
+        # the first run reaching past instant 0 holds the smallest positive instant
+        start = next(x for x, y in runs if y + shift >= 1)
+        instant = max(start + shift, 1)
         if best is not None and instant == best[0]:
             raise GranularityError("two granules cover the same instant")
         if best is None or instant < best[0]:
             best = (instant, lab + s * step)
     assert best is not None
     return best[1]
+
+
+def normalize_runs(
+    granules: Mapping[int, Runs],
+    period: int,
+    step: int,
+    bounds: Bounds | None = None,
+) -> Rep:
+    """:func:`normalize_alignment` for granules already given as canonical runs."""
+    families: dict[int, tuple[int, Runs]] = {}
+    for lab in sorted(lab for lab, g in granules.items() if g):
+        g = granules[lab]
+        res = lab % step
+        if res in families:
+            lab0, g0 = families[res]
+            cycles = (lab - lab0) // step
+            if lab0 + cycles * step != lab or shift_runs(g0, cycles * period) != g:
+                raise GranularityError(
+                    f"granules at labels {lab0} and {lab} break the stated "
+                    f"(period={period}, step={step}) repetition"
+                )
+        else:
+            families[res] = (lab, g)
+    if not families:
+        return EmptyRep()
+    anchor = _anchor_label(families.values(), period, step)
+    explicit = {}
+    for lab, g in families.values():
+        s = (anchor + step - 1 - lab) // step
+        new_label = lab + s * step
+        if new_label < anchor:
+            raise GranularityError("incomplete period window")  # unreachable for sane input
+        explicit[new_label] = shift_runs(g, s * period) if s else g
+    return PeriodicRep.from_runs(period, step, explicit, bounds)
 
 
 def normalize_alignment(
@@ -373,32 +560,8 @@ def normalize_alignment(
     result's window starts at the label of the granule covering the smallest
     positive covered instant.  An empty input yields :class:`EmptyRep`.
     """
-    cleaned = {int(lab): as_granule(g) for lab, g in granules.items() if g}
-    if not cleaned:
-        return EmptyRep()
-    families: dict[int, tuple[int, Granule]] = {}
-    for lab in sorted(cleaned):
-        g = cleaned[lab]
-        res = lab % step
-        if res in families:
-            lab0, g0 = families[res]
-            cycles = (lab - lab0) // step
-            if lab0 + cycles * step != lab or shift_granule(g0, cycles * period) != g:
-                raise GranularityError(
-                    f"granules at labels {lab0} and {lab} break the stated "
-                    f"(period={period}, step={step}) repetition"
-                )
-        else:
-            families[res] = (lab, g)
-    anchor = _anchor_label(families.values(), period, step)
-    explicit = {}
-    for lab, g in families.values():
-        s = (anchor + step - 1 - lab) // step
-        new_label = lab + s * step
-        if new_label < anchor:
-            raise GranularityError("incomplete period window")  # unreachable for sane input
-        explicit[new_label] = shift_granule(g, s * period)
-    return PeriodicRep(period, step, explicit, bounds)
+    cleaned = {int(lab): _encode(g) for lab, g in granules.items() if g}
+    return normalize_runs(cleaned, period, step, bounds)
 
 
 def up_label(g: Rep, h: Rep, label: int) -> int | None:
@@ -454,15 +617,14 @@ def consecutive_spans(
     labels.append(base.next_label(labels[-1]))
     spans = []
     for lab in labels:
-        g = base.expand(lab)
-        b = unit.up(g[0])
-        t = unit.up(g[-1])
+        g = base.runs_of(lab)
+        b = unit.up(g[0][0])
+        t = unit.up(g[-1][1])
         if b is None or t is None:
             raise GranularityError(
                 f"granule {lab} is not covered by the unit granularity"
             )
-        tile = sorted(x for j in range(b, t + 1) for x in unit.expand(j))
-        if tile != list(g):
+        if unit.span(b, t) != g:
             raise GranularityError(
                 f"granule {lab} is not a union of consecutive unit granules"
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EmptyRep, PeriodicRep, Rep, shift_granule
+from .core import EmptyRep, PeriodicRep, Rep, shift_runs
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -45,15 +45,15 @@ def is_valid_reduction(rep: PeriodicRep, alpha: int) -> bool:
     dn = rep.step // alpha
     dp = rep.period // alpha
     return all(
-        rep.expand(a + dn) == shift_granule(g, dp) for a, g in rep.explicit.items()
+        rep.runs_of(a + dn) == shift_runs(g, dp) for a, g in rep._runs.items()
     )
 
 
 def _reduce(rep: PeriodicRep, alpha: int) -> PeriodicRep:
     step = rep.step // alpha
     cutoff = rep.first_label + step
-    explicit = {a: g for a, g in rep.explicit.items() if a < cutoff}
-    return PeriodicRep(rep.period // alpha, step, explicit, rep.bounds)
+    runs = {a: g for a, g in rep._runs.items() if a < cutoff}
+    return PeriodicRep.from_runs(rep.period // alpha, step, runs, rep.bounds)
 
 
 def minimize(rep: Rep) -> Rep:

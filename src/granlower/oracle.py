@@ -248,28 +248,56 @@ class Definitions:
 
     A window's memo fills in file order, and only as far as the latest
     definition an evaluated expression references.  Each definition is thus
-    evaluated at most once per window, from its own syntax, and recursion
-    never leaves one definition.
+    evaluated from its own syntax, and recursion never leaves one definition.
+    A definition's map is dropped once every definition that references it
+    has been evaluated, unless the expression at hand references it, so a
+    window holds only the maps still ahead of a user.  A later request for a
+    dropped name refills its window from the start.
     """
 
     def __init__(self, definitions: Iterable[tuple[str, ast.CalExpr]]):
         self._definitions = tuple(definitions)
         self._position = {name: i for i, (name, _) in enumerate(self._definitions)}
-        self._windows: dict[tuple[int, int], dict[str, _GranuleMap]] = {}
+        self._uses = [self._references(body) for _, body in self._definitions]
+        # position of the last definition referencing each one (itself if none)
+        self._last_use = list(range(len(self._definitions)))
+        for i, uses in enumerate(self._uses):
+            for j in uses:
+                self._last_use[j] = max(self._last_use[j], i)
+        # window -> (memo of live maps, count of definitions evaluated so far)
+        self._windows: dict[tuple[int, int], tuple[dict[str, _GranuleMap], int]] = {}
 
-    def bound(self, expr: ast.CalExpr, lo: int, hi: int) -> dict[str, _GranuleMap]:
-        """Granule maps on ``[lo, hi]`` of every definition ``expr`` references."""
-        last = -1
+    def _references(self, expr: ast.CalExpr) -> set[int]:
+        found = set()
         stack = [expr]
         while stack:
             node = stack.pop()
             if isinstance(node, ast.Name):
-                last = max(last, self._position.get(node.name, -1))
+                if node.name in self._position:
+                    found.add(self._position[node.name])
             else:
                 stack.extend(ast.children(node))
-        memo = self._windows.setdefault((lo, hi), {})
-        for name, body in self._definitions[len(memo) : last + 1]:
+        return found
+
+    def bound(self, expr: ast.CalExpr, lo: int, hi: int) -> dict[str, _GranuleMap]:
+        """Granule maps on ``[lo, hi]`` of every definition ``expr`` references."""
+        wanted = self._references(expr)
+        memo, done = self._windows.get((lo, hi), ({}, 0))
+        if any(i < done and self._definitions[i][0] not in memo for i in wanted):
+            memo, done = {}, 0  # a wanted map was dropped: refill from the start
+        for name in list(memo):
+            i = self._position[name]
+            if self._last_use[i] < done and i not in wanted:
+                del memo[name]
+        for i in range(done, max(wanted, default=-1) + 1):
+            name, body = self._definitions[i]
             memo[name] = _eval(body, lo, hi, memo)
+            done = i + 1
+            # every map whose last user is this definition is dead now
+            for j in self._uses[i] | {i}:
+                if self._last_use[j] == i and j not in wanted:
+                    del memo[self._definitions[j][0]]
+        self._windows[(lo, hi)] = (memo, done)
         return memo
 
 

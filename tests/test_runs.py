@@ -1,0 +1,279 @@
+"""Run-length storage against a brute-force, instant-level reference.
+
+Every representation here is built straight from a raw window of index
+sets, including granules with holes, and every answer is checked against
+the same window enumerated instant by instant, with no run arithmetic.
+"""
+
+import datetime
+import math
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from granlower.algebra import Name, needed_definitions, parse_calendar
+from granlower.convert import convert_expression
+from granlower.core import EmptyRep, PeriodicRep, normalize_alignment
+from granlower.minimize import minimize
+
+from .test_cli import deadline
+
+
+@st.composite
+def raw_windows(draw):
+    """``(period, step, {label: sorted indices})``: one valid window, any offset."""
+    period = draw(st.integers(1, 16))
+    covered = sorted(draw(st.sets(st.integers(1, period), min_size=1, max_size=period)))
+    count = draw(st.integers(1, min(4, len(covered))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(covered) - 1), min_size=count - 1,
+                               max_size=count - 1))) if count > 1 else []
+    step = draw(st.integers(count, count + 3))
+    # distinct labels inside one window of ``step``, in time order
+    slots = sorted(draw(st.sets(st.integers(0, step - 1), min_size=count, max_size=count)))
+    first = draw(st.integers(-6, 6))
+    shift = draw(st.integers(-2 * period, 2 * period))
+    window, prev = {}, 0
+    for slot, cut in zip(slots, cuts + [len(covered)]):
+        window[first + slot] = tuple(x + shift for x in covered[prev:cut])
+        prev = cut
+    return period, step, window
+
+
+class Brute:
+    """The granularity a raw window describes, enumerated instant by instant."""
+
+    def __init__(self, period, step, window):
+        self.period, self.step, self.window = period, step, window
+
+    def granule(self, label):
+        for a, g in self.window.items():
+            if (label - a) % self.step == 0:
+                cycles = (label - a) // self.step
+                return tuple(x + cycles * self.period for x in g)
+        return ()
+
+    def up(self, t):
+        for a, g in self.window.items():
+            for x in g:
+                if (t - x) % self.period == 0:
+                    return a + (t - x) // self.period * self.step
+        return None
+
+    def labels(self, lo, hi):
+        """Every label whose granule meets ``[lo, hi]``."""
+        return sorted({self.up(t) for t in range(lo, hi + 1)} - {None})
+
+
+def reach(period):
+    return 4 * period + 20
+
+
+@given(raw_windows())
+def test_expand_and_up_match_instants(raw):
+    period, step, window = raw
+    rep, brute = PeriodicRep(period, step, window), Brute(*raw)
+    r = reach(period)
+    for t in range(-r, r + 1):
+        assert rep.up(t) == brute.up(t)
+    for label in range(min(window) - 3 * step, max(window) + 3 * step + 1):
+        assert rep.expand(label) == brute.granule(label)
+
+
+@given(raw_windows(), st.integers(-3, 3), st.integers(0, 12))
+def test_bounds_clip_up_and_expand(raw, lo_shift, width):
+    period, step, window = raw
+    lo = min(window) + lo_shift
+    hi = lo + width
+    rep, brute = PeriodicRep(period, step, window, (lo, hi)), Brute(*raw)
+    for t in range(-reach(period), reach(period) + 1):
+        label = brute.up(t)
+        assert rep.up(t) == (label if label is not None and lo <= label <= hi else None)
+    for label in range(lo - step, hi + step + 1):
+        expected = brute.granule(label) if lo <= label <= hi else ()
+        assert rep.expand(label) == expected
+
+
+@given(raw_windows(), st.integers(1, 3))
+def test_lhat_matches_instants(raw, k):
+    period, step, window = raw
+    rep, brute = PeriodicRep(period, step, window), Brute(*raw)
+    assert rep.lhat(k * period) == brute.labels(1, k * period)
+
+
+@given(raw_windows(), st.integers(-20, 20), st.integers(0, 30))
+def test_labels_within_matches_instants(raw, lo, width):
+    period, step, window = raw
+    hi = lo + width
+    rep, brute = PeriodicRep(period, step, window), Brute(*raw)
+    r = reach(period) + abs(lo) + width
+    expected = [
+        a for a in brute.labels(-r, r)
+        if lo <= brute.granule(a)[0] and brute.granule(a)[-1] <= hi
+    ]
+    assert rep.labels_within(lo, hi) == expected
+
+
+@given(raw_windows())
+def test_anchor_label_covers_smallest_positive_instant(raw):
+    rep, brute = PeriodicRep(*raw), Brute(*raw)
+    smallest = next(t for t in range(1, rep.period + 1) if brute.up(t) is not None)
+    assert rep.anchor_label == brute.up(smallest)
+
+
+@given(raw_windows(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_normalize_alignment_from_any_copies(raw, cycles):
+    period, step, window = raw
+    brute = Brute(*raw)
+    # each granule handed in at some other copy, as a list, a set or a generator
+    moved = {}
+    for (a, g), c, kind in zip(sorted(window.items()), cycles, (list, set, iter, tuple)):
+        moved[a + c * step] = kind(tuple(x + c * period for x in g))
+    rep = normalize_alignment(moved, period, step)
+    assert rep.is_canonical
+    assert rep == normalize_alignment(window, period, step)
+    for label in range(min(window) - 2 * step, max(window) + 2 * step + 1):
+        assert rep.expand(label) == brute.granule(label)
+
+
+def runs_from(instants):
+    """Maximal ``(start, end)`` runs of a set of instants, by a plain scan."""
+    runs = []
+    for t in sorted(instants):
+        if runs and runs[-1][1] == t - 1:
+            runs[-1][1] = t
+        else:
+            runs.append([t, t])
+    return tuple((a, b) for a, b in runs)
+
+
+@given(
+    raw_windows(),
+    st.integers(0, 6),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 12)), min_size=1, max_size=3),
+)
+def test_span_and_touching_match_instants(raw, count, probes):
+    period, step, window = raw
+    rep, brute = PeriodicRep(period, step, window), Brute(*raw)
+    labels = brute.labels(1, 3 * period)
+    first, last = labels[0], labels[min(count, len(labels) - 1)]
+    union = {x for a in labels if first <= a <= last for x in brute.granule(a)}
+    assert rep.span(first, last) == runs_from(union)
+    instants = {t for lo, width in probes for t in range(lo, lo + width + 1)}
+    expected = sorted({brute.up(t) for t in instants} - {None})
+    assert rep.labels_touching(runs_from(instants)) == expected
+
+
+def brute_minimal_period(period, step, brute):
+    """The smallest ``period / alpha`` whose shifted window reproduces every granule."""
+    best = period
+    for alpha in range(2, math.gcd(period, step) + 1):
+        if period % alpha or step % alpha:
+            continue
+        dp, dn = period // alpha, step // alpha
+        labels = brute.labels(-period, 2 * period)
+        if all(
+            brute.granule(a + dn) == tuple(x + dp for x in brute.granule(a)) for a in labels
+        ):
+            best = min(best, dp)
+    return best
+
+
+@given(raw_windows(), st.integers(1, 4))
+def test_minimize_matches_brute_force(raw, alpha):
+    # scaling first gives minimize something to remove
+    period, step, window = raw
+    brute = Brute(*raw)
+    rep = PeriodicRep(period, step, window).scaled(alpha)
+    small = minimize(rep)
+    assert small.period == brute_minimal_period(period * alpha, step * alpha, brute)
+    assert small.period * rep.step == small.step * rep.period
+    for label in range(min(window) - 2 * step, max(window) + 2 * step + 1):
+        assert small.expand(label) == brute.granule(label)
+
+
+@given(raw_windows(), st.booleans())
+def test_json_round_trip(raw, bounded):
+    period, step, window = raw
+    bounds = (min(window) - 1, None) if bounded else None
+    rep = PeriodicRep(period, step, window, bounds)
+    assert PeriodicRep.from_json_dict(rep.to_json_dict()) == rep
+    assert PeriodicRep.from_json_dict(EmptyRep().to_json_dict()) == EmptyRep()
+
+
+@settings(max_examples=30)
+@given(raw_windows())
+def test_explicit_is_a_read_only_view(raw):
+    period, step, window = raw
+    rep = PeriodicRep(period, step, window)
+    assert len(rep.explicit) == len(window) and list(rep.explicit) == sorted(window)
+    assert dict(rep.explicit) == {a: tuple(sorted(set(g))) for a, g in window.items()}
+    assert all(len(g) for g in rep.explicit.values())
+    with pytest.raises(TypeError):
+        rep.explicit[min(window)] = (1,)
+    # the view rebuilds the same representation
+    assert PeriodicRep(period, step, rep.explicit) == rep
+
+
+def test_week_parts_holes():
+    # week_parts = alter(1, 3, 2, day, group(2, day)): a 5-day and a 2-day part
+    rep = PeriodicRep(7, 2, {1: (1, 2, 3, 4, 5), 2: (6, 7)})
+    holes = PeriodicRep(7, 1, {1: (1, 3, 5, 7)})
+    assert [holes.up(t) for t in range(1, 9)] == [1, None, 1, None, 1, None, 1, 2]
+    assert holes.expand(2) == (8, 10, 12, 14)
+    assert rep.expand(4) == (13, 14)
+    assert len(holes._cover_index()) == 4  # one entry per run, not per instant
+
+
+class TestMinuteBottom:
+    """The Gregorian fixture on a minute bottom: P = 400 years of minutes.
+
+    Stored as runs, a month is one run whatever the bottom, so this converts
+    in about as long as the day-bottom fixture instead of running out of
+    memory on 210 million instants.
+    """
+
+    PERIOD = 146097 * 24 * 60
+
+    @staticmethod
+    def day_of(date):
+        # day 1 is 0001-01-01; the 400-year cycle repeats every 146097 days
+        return date.toordinal()
+
+    def month_days(self, label):
+        cycle, rest = divmod(label - 1, 4800)
+        year, month = divmod(rest, 12)
+        first = datetime.date(year + 1, month + 1, 1)
+        nxt = datetime.date(year + 2, 1, 1) if month == 11 else datetime.date(year + 1, month + 2, 1)
+        return self.day_of(first) + cycle * 146097, self.day_of(nxt) - 1 + cycle * 146097
+
+    def test_month_and_year(self, fixtures_dir):
+        text = (fixtures_dir / "gregorian.cal").read_text().replace(
+            "calendar gregorian bottom day;",
+            "calendar gregorian_minute bottom minute;\n"
+            "hour = group(60, minute);\nday = group(24, hour);",
+        )
+        doc = parse_calendar(text)
+        start = time.perf_counter()
+        cache = {}
+        with deadline(60):
+            for name, expr in needed_definitions(doc, ["month", "year"]):
+                cache[Name(name)] = convert_expression(expr, cache=cache)
+        elapsed = time.perf_counter() - start
+        month, year = cache[Name("month")], cache[Name("year")]
+        assert (month.period, month.step) == (self.PERIOD, 4800)
+        assert (year.period, year.step) == (self.PERIOD, 400)
+        minute = lambda day: (day - 1) * 1440 + 1  # noqa: E731  first minute of a day
+        for label in (1, 2, 14, 4800, 4801, -11):
+            first, last = self.month_days(label)
+            assert month.expand(label) == tuple(range(minute(first), minute(last + 1)))
+            assert month.up(minute(first)) == label
+            assert month.up(minute(last + 1) - 1) == label
+        leap = self.day_of(datetime.date(2000, 2, 29))
+        assert month.up(minute(leap) + 719) == 1999 * 12 + 2
+        assert year.up(minute(leap)) == 2000
+        assert year.up(minute(self.day_of(datetime.date(2001, 1, 1))) - 1) == 2000
+        assert year.expand(401)[0] == self.PERIOD + 1
+        # well under a second on a 2-core machine
+        assert elapsed < 20
