@@ -20,7 +20,6 @@ Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 conversion precondition,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -113,6 +112,18 @@ def _convert_all(doc, names, minimize: bool, gstp: bool, max_period: int):
     return [(name, reps[name]) for name in names]
 
 
+def _join_runs(runs, sep: str) -> str:
+    # the indices of (start, end) runs, joined by sep; Python-level work is
+    # per run, not per index
+    return sep.join(sep.join(map(str, range(s, e + 1))) for s, e in runs)
+
+
+def _stored_runs(rep: PeriodicRep):
+    # (label, runs) of the explicit window, bounds ignored as in to_json_dict
+    core = rep.unbounded()
+    return ((label, core.runs_of(label)) for label in rep.labels)
+
+
 def _render_text(reps) -> str:
     blocks = []
     for name, rep in reps:
@@ -126,28 +137,61 @@ def _render_text(reps) -> str:
                 lo, hi = rep.bounds
                 bounds = f"{'-inf' if lo is None else lo}..{'+inf' if hi is None else hi}"
             suffix = f"P={rep.period} N={rep.step} bounds={bounds}"
-            for label in rep.labels:
-                indices = " ".join(str(x) for x in rep.explicit[label])
-                lines.append(f"{label}: {indices} | {suffix}")
+            for label, runs in _stored_runs(rep):
+                lines.append(f"{label}: {_join_runs(runs, ' ')} | {suffix}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
+# json.dumps(..., indent=2) layout: a granule's "bottoms" items sit 14
+# spaces deep, inside granularities -> rep -> labels -> label object
+_BOTTOMS_SEP = ",\n" + " " * 14
+_BATCH_CHARS = 1 << 16
+
+
+def _json_bounds(rep: PeriodicRep) -> str:
+    if rep.bounds is None:
+        return "null"
+    lo, hi = rep.bounds
+    first = '"-inf"' if lo is None else lo
+    last = '"+inf"' if hi is None else hi
+    return f'{{\n          "first": {first},\n          "last": {last}\n        }}'
+
+
 def _render_json(doc, reps, out) -> None:
-    payload = {
-        "calendar": doc.name,
-        "bottom": doc.bottom,
-        "granularities": [
-            {"name": name, "rep": rep.to_json_dict()} for name, rep in reps
-        ],
-    }
-    # the same bytes as json.dumps(payload, indent=2), written in batches of
-    # chunks so the whole text is never held at once; a write per chunk
-    # would be slow on a pipe
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 4096)):
-        out.write(batch)
-    out.write("\n")
+    """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"``, where
+    payload holds each rep's ``to_json_dict()``.
+
+    The stdlib encoder is pure Python once ``indent`` is set and visits every
+    bottom index; this writer formats each granule from its runs instead.  It
+    writes whole granules in batches of about ``_BATCH_CHARS``, so a pipe
+    stays fast and memory stays bounded by the largest granule.
+    """
+    head = f'{{\n  "calendar": {json.dumps(doc.name)},\n  "bottom": {json.dumps(doc.bottom)},\n'
+    if not reps:
+        out.write(head + '  "granularities": []\n}\n')
+        return
+    batch, size = [head, '  "granularities": ['], 0
+    for i, (name, rep) in enumerate(reps):
+        batch.append(f'{"," if i else ""}\n    {{\n      "name": {json.dumps(name)},\n      "rep": {{\n')
+        if isinstance(rep, EmptyRep):
+            batch.append('        "empty": true\n      }\n    }')
+            continue
+        batch.append(f'        "P": {rep.period},\n        "N": {rep.step},\n        "labels": [')
+        for j, (label, runs) in enumerate(_stored_runs(rep)):
+            granule = (
+                f'{"," if j else ""}\n          {{\n            "label": {label},\n'
+                f'            "bottoms": [\n              {_join_runs(runs, _BOTTOMS_SEP)}\n'
+                "            ]\n          }"
+            )
+            batch.append(granule)
+            size += len(granule)
+            if size >= _BATCH_CHARS:
+                out.write("".join(batch))
+                batch, size = [], 0
+        batch.append(f'\n        ],\n        "bounds": {_json_bounds(rep)}\n      }}\n    }}')
+    batch.append("\n  ]\n}\n")
+    out.write("".join(batch))
 
 
 def cmd_convert(args) -> int:
@@ -186,9 +230,8 @@ def cmd_expand(args) -> int:
     ((_, rep),) = _convert_all(doc, [args.name], True, False, _max_period())
     lo, hi = _parse_label_range(args.labels)
     for label in range(lo, hi + 1):
-        granule = rep.expand(label)
-        body = " ".join(str(x) for x in granule) if granule else "empty"
-        print(f"{label}: {body}")
+        runs = rep.runs_of(label) if isinstance(rep, PeriodicRep) else ()
+        print(f"{label}: {_join_runs(runs, ' ') if runs else 'empty'}")
     return EXIT_OK
 
 

@@ -67,13 +67,20 @@ def _merge(out: _GranuleMap, label: int, granule: tuple[int, ...], trusted: bool
         out[label] = (granule, trusted)
 
 
-def _eval(expr: ast.CalExpr, lo: int, hi: int, bound: Mapping[str, _GranuleMap]) -> _GranuleMap:
+def _bottom_map(lo: int, hi: int) -> _GranuleMap:
+    return {t: ((t,), True) for t in range(lo, hi + 1)}
+
+
+def _eval(
+    expr: ast.CalExpr, bottom: _GranuleMap, bound: Mapping[str, _GranuleMap]
+) -> _GranuleMap:
+    # bottom is the window's own bottom map, shared and never mutated
     def ev(sub: ast.CalExpr) -> _GranuleMap:
-        return _eval(sub, lo, hi, bound)
+        return _eval(sub, bottom, bound)
 
     match expr:
         case ast.Bottom():
-            return {t: ((t,), True) for t in range(lo, hi + 1)}
+            return bottom
         case ast.Group(size, sub):
             return _ev_group(size, ev(sub))
         case ast.Alter(slot, change, cycle, unit, base):
@@ -252,7 +259,9 @@ class Definitions:
     A definition's map is dropped once every definition that references it
     has been evaluated, unless the expression at hand references it, so a
     window holds only the maps still ahead of a user.  A later request for a
-    dropped name refills its window from the start.
+    dropped name refills its window from the start.  The bottom
+    granularity's map is built once per window and shared read-only by every
+    evaluation on it.
     """
 
     def __init__(self, definitions: Iterable[tuple[str, ast.CalExpr]]):
@@ -266,6 +275,8 @@ class Definitions:
                 self._last_use[j] = max(self._last_use[j], i)
         # window -> (memo of live maps, count of definitions evaluated so far)
         self._windows: dict[tuple[int, int], tuple[dict[str, _GranuleMap], int]] = {}
+        # window -> its bottom map, built once and shared by every evaluation
+        self._bottoms: dict[tuple[int, int], _GranuleMap] = {}
 
     def _references(self, expr: ast.CalExpr) -> set[int]:
         found = set()
@@ -279,6 +290,12 @@ class Definitions:
                 stack.extend(ast.children(node))
         return found
 
+    def bottom(self, lo: int, hi: int) -> _GranuleMap:
+        """The bottom granularity's map on ``[lo, hi]``; read-only."""
+        if (lo, hi) not in self._bottoms:
+            self._bottoms[(lo, hi)] = _bottom_map(lo, hi)
+        return self._bottoms[(lo, hi)]
+
     def bound(self, expr: ast.CalExpr, lo: int, hi: int) -> dict[str, _GranuleMap]:
         """Granule maps on ``[lo, hi]`` of every definition ``expr`` references."""
         wanted = self._references(expr)
@@ -291,7 +308,7 @@ class Definitions:
                 del memo[name]
         for i in range(done, max(wanted, default=-1) + 1):
             name, body = self._definitions[i]
-            memo[name] = _eval(body, lo, hi, memo)
+            memo[name] = _eval(body, self.bottom(lo, hi), memo)
             done = i + 1
             # every map whose last user is this definition is dead now
             for j in self._uses[i] | {i}:
@@ -324,8 +341,11 @@ def eval_window(
         guard = (hi - lo + 1) // 3
     if guard < 0 or hi - lo + 1 <= 2 * guard:
         raise ValueError(f"window [{lo}, {hi}] is too small for guard {guard}")
-    bound = definitions.bound(expr, lo, hi) if definitions is not None else {}
-    evaluated = _eval(expr, lo, hi, bound)
+    if definitions is None:
+        bottom, bound = _bottom_map(lo, hi), {}
+    else:
+        bottom, bound = definitions.bottom(lo, hi), definitions.bound(expr, lo, hi)
+    evaluated = _eval(expr, bottom, bound)
     return WindowEval(
         lo=lo,
         hi=hi,

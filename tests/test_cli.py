@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from granlower import cli
+from granlower.algebra import parse_calendar
 from granlower.cli import main
-from granlower.core import PeriodicRep
+from granlower.core import EmptyRep, PeriodicRep
 
 
 def run(capsys, *argv):
@@ -193,6 +195,17 @@ class TestExpand:
         assert code == 0
         assert out.splitlines() == ["1: empty", "2: 8 9 10 11 12 13 14"]
 
+    def test_matches_expand_per_instant(self, capsys, tmp_path):
+        path = tmp_path / "edges.cal"
+        path.write_text(EDGES)
+        for name, rep in reference_reps(path)[1]:
+            code, out, err = run(capsys, "expand", str(path), name, "--labels=-2..5")
+            assert code == 0, err
+            assert out == "".join(
+                f"{label}: {' '.join(str(x) for x in rep.expand(label)) or 'empty'}\n"
+                for label in range(-2, 6)
+            )
+
     def test_bad_range_exit_1(self, capsys, fixtures_dir):
         code, _, err = run(
             capsys, "expand", str(fixtures_dir / "basic.cal"), "week", "--labels", "3..1"
@@ -244,6 +257,145 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(fixtures_dir / "basic.cal"))
         assert code == 4
         assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+# an EmptyRep, each kind of subset bounds (one leaving the stored label out),
+# a one-instant granule and a granule of two runs
+EDGES = (
+    "calendar edges bottom day;\n"
+    "week = group(7, day);\n"
+    "never = difference(week, week);\n"
+    "early = subset(-inf, 5, week);\n"
+    "late = subset(3, inf, week);\n"
+    "middle = subset(2, 4, week);\n"
+    "one = subset(4, 4, day);\n"
+    "pair = combine(group(14, day), selectdown(1, 1, day, week));\n"
+)
+
+
+def shift_chain(n: int) -> str:
+    lines = ["calendar chain bottom day;", "x0 = group(3, day);"]
+    lines += [f"x{i} = shift(1, x{i - 1});" for i in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_reps(path, *flags):
+    doc = parse_calendar(path.read_text())
+    reps = cli._convert_all(
+        doc, list(doc.names), "--no-minimize" not in flags, "--gstp" in flags, 10**9
+    )
+    return doc, reps
+
+
+def reference_json(path, *flags) -> str:
+    doc, reps = reference_reps(path, *flags)
+    payload = {
+        "calendar": doc.name,
+        "bottom": doc.bottom,
+        "granularities": [{"name": n, "rep": rep.to_json_dict()} for n, rep in reps],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_text(path, *flags) -> str:
+    # one str() per bottom instant, read through the public explicit view
+    blocks = []
+    for name, rep in reference_reps(path, *flags)[1]:
+        lines = [f"granularity {name}"]
+        if isinstance(rep, EmptyRep):
+            lines.append("empty")
+        else:
+            lo, hi = rep.bounds or (None, None)
+            bounds = "none" if rep.bounds is None else (
+                f"{'-inf' if lo is None else lo}..{'+inf' if hi is None else hi}"
+            )
+            for label in rep.labels:
+                indices = " ".join(str(x) for x in rep.explicit[label])
+                lines.append(f"{label}: {indices} | P={rep.period} N={rep.step} bounds={bounds}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+class TestOutputBytes:
+    """The CLI writes JSON and text from runs; its bytes must stay those of
+    ``json.dumps(..., indent=2)`` over ``to_json_dict()`` and of a
+    per-instant text rendering."""
+
+    FLAGS = [(), ("--no-minimize",), ("--gstp",), ("--no-minimize", "--gstp")]
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "fixture", ["basic", "toyleap", "gregorian", "gregorian_doubled"]
+    )
+    def test_fixture_json(self, capsys, fixtures_dir, fixture, flags):
+        path = fixtures_dir / f"{fixture}.cal"
+        code, out, err = run(capsys, "convert", str(path), *flags)
+        if fixture == "basic" and "--gstp" in flags:
+            # basic.cal's empty granularity cannot be relabeled
+            assert code == 3 and out == ""
+            assert err == "granlower: never: cannot relabel an empty granularity\n"
+            return
+        assert code == 0, err
+        assert out == reference_json(path, *flags)
+
+    @pytest.mark.parametrize("flags", FLAGS[:3], ids=" ".join)
+    @pytest.mark.parametrize("calendar", ["edges", "chain"])
+    def test_generated_json(self, capsys, tmp_path, calendar, flags):
+        path = tmp_path / f"{calendar}.cal"
+        path.write_text(EDGES if calendar == "edges" else shift_chain(300))
+        code, out, err = run(capsys, "convert", str(path), *flags)
+        if calendar == "edges" and "--gstp" in flags:
+            assert code == 3 and out == "" and err.startswith("granlower: never: ")
+            return
+        assert code == 0, err
+        assert out == reference_json(path, *flags)
+
+    def test_edge_cases_are_covered(self, tmp_path):
+        path = tmp_path / "edges.cal"
+        path.write_text(EDGES)
+        reps = dict(reference_reps(path)[1])
+        assert isinstance(reps["never"], EmptyRep)
+        assert reps["early"].bounds == (None, 5) and reps["late"].bounds == (3, None)
+        assert reps["middle"].bounds == (2, 4)
+        assert reps["late"].labels == (1,)  # stored, yet outside the bounds
+        assert reps["one"].explicit[1] == (1,)
+        assert reps["pair"].explicit[1] == (1, 8)
+
+    def test_no_granularities(self, capsys, tmp_path):
+        path = tmp_path / "bare.cal"
+        path.write_text("calendar bare bottom tick;\n")
+        code, out, _ = run(capsys, "convert", str(path))
+        assert code == 0
+        assert out == json.dumps(
+            {"calendar": "bare", "bottom": "tick", "granularities": []}, indent=2
+        ) + "\n"
+
+    @pytest.mark.parametrize("calendar", ["basic", "toyleap", "gregorian", "gregorian_doubled", "edges"])
+    def test_text(self, capsys, fixtures_dir, tmp_path, calendar):
+        if calendar == "edges":
+            path = tmp_path / "edges.cal"
+            path.write_text(EDGES)
+        else:
+            path = fixtures_dir / f"{calendar}.cal"
+        code, out, err = run(capsys, "convert", str(path), "--format", "text")
+        assert code == 0, err
+        assert out == reference_text(path)
+
+    def test_json_written_in_batches(self, fixtures_dir):
+        # neither one write per token nor the whole document in one string
+        class Recording:
+            def __init__(self):
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+
+        doc, reps = reference_reps(fixtures_dir / "gregorian.cal")
+        out = Recording()
+        cli._render_json(doc, reps, out)
+        granules = sum(len(rep.labels) for _, rep in reps)
+        assert 1 < len(out.sizes) < granules // 10
+        assert max(out.sizes) < sum(out.sizes) // 10
 
 
 @contextlib.contextmanager

@@ -162,6 +162,25 @@ class TestDefinitions:
         w = eval_window(ast.Name("x20"), -29, 33, definitions=definitions)
         assert w.granules[2] == (4, 5, 6)
 
+    def test_bottom_map_built_once_per_window(self, fixtures_dir, monkeypatch):
+        import granlower.oracle as oracle
+
+        built = []
+        real = oracle._bottom_map
+        monkeypatch.setattr(
+            oracle, "_bottom_map", lambda lo, hi: built.append((lo, hi)) or real(lo, hi)
+        )
+        doc = parse_calendar((fixtures_dir / "toyleap.cal").read_text())
+        definitions = Definitions(doc.definitions)
+        for name, _ in doc.definitions:
+            eval_window(ast.Name(name), -69, 140, definitions=definitions)
+        eval_window(ast.Name(doc.definitions[0][0]), -10, 20, definitions=definitions)
+        assert built == [(-69, 140), (-10, 20)]
+        assert definitions.bottom(-69, 140) is definitions.bottom(-69, 140)
+        # without definitions, one map per call however often the bottom appears
+        eval_window(rewrite_to_bottom(doc, doc.definitions[-1][0]), 1, 30)
+        assert built[2:] == [(1, 30)]
+
     def test_unbound_name_rejected(self):
         with pytest.raises(ValueError, match="references 'week'"):
             eval_window(ast.Group(2, ast.Name("week")), 1, 30)
