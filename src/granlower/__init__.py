@@ -12,6 +12,7 @@ from .algebra import (
 )
 from .convert import (
     ConversionError,
+    convert_calendar,
     convert_expression,
     delta_select,
     gstp_relabel,
@@ -48,6 +49,7 @@ __all__ = [
     "ValidationReport",
     "WindowEval",
     "compare_with_periodic",
+    "convert_calendar",
     "convert_expression",
     "delta_select",
     "down_label",

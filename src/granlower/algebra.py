@@ -507,28 +507,38 @@ def validate(doc: CalendarDoc) -> ValidationReport:
 # rewriting
 
 
+def references(expr: CalExpr) -> set[str]:
+    """The names ``expr`` mentions in its own syntax, found with an explicit stack."""
+    found = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            found.add(node.name)
+        else:
+            stack.extend(children(node))
+    return found
+
+
 def needed_definitions(
     doc: CalendarDoc, targets: Iterable[str]
 ) -> list[tuple[str, CalExpr]]:
     """The definitions ``targets`` depend on, themselves included, in file order.
 
     Names only refer to earlier definitions, so one backward pass over the
-    document, walking each needed definition's own syntax with an explicit
-    stack, finds them all; its cost is linear in the document's size.
+    document, walking each needed definition's own syntax, finds them all;
+    its cost is linear in the document's size.  The bottom needs no
+    definition.  Raises :class:`KeyError` for a target that is neither.
     """
     needed = set(targets)
+    unknown = needed - {doc.bottom, *doc.names}
+    if unknown:
+        raise KeyError(min(unknown))
     found = []
     for name, expr in reversed(doc.definitions):
-        if name not in needed:
-            continue
-        found.append((name, expr))
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Name):
-                needed.add(node.name)
-            else:
-                stack.extend(children(node))
+        if name in needed:
+            found.append((name, expr))
+            needed |= references(expr)
     found.reverse()
     return found
 

@@ -31,12 +31,11 @@ from . import algebra as ast
 # for callers that look it up, or wrap it, here
 from .algebra import (
     CalendarSyntaxError,
-    needed_definitions,
     parse_calendar,
     rewrite_to_bottom,
     validate,
 )
-from .convert import ConversionError, convert_expression, gstp_relabel
+from .convert import ConversionError, convert_calendar, gstp_relabel
 from .core import EmptyRep, PeriodicRep, Rep
 from .oracle import Definitions, verify_against_oracle
 
@@ -87,28 +86,23 @@ def _load(path: str):
     return doc
 
 
-def _convert_all(doc, names, minimize: bool, gstp: bool, max_period: int):
-    # Each needed definition converts once, from its own syntax, in file
-    # order.  Binding its name in the cache afterwards makes every later
-    # reference a single lookup, so no closed tree is ever built.
-    wanted = set(names)
-    todo = needed_definitions(doc, names)
-    if doc.bottom in wanted:
-        todo.insert(0, (doc.bottom, ast.Bottom()))
-    cache: dict = {}
-    reps = {}
-    for name, expr in todo:
-        try:
-            rep = convert_expression(
-                expr, minimize=minimize, cache=cache, max_period=max_period
-            )
-            cache[ast.Name(name)] = rep
-            if gstp and name in wanted:
-                rep = gstp_relabel(rep)
-        except ConversionError as exc:
-            print(f"granlower: {name}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_CONVERT) from None
-        reps[name] = rep
+def _convert_all(doc, names, minimize: bool, gstp: bool, max_period: int | None = None):
+    # GRANLOWER_MAX_PERIOD (the default cap) is read only once every name is
+    # known, so an unknown name is the error reported; convert_calendar needs
+    # the cap before it can raise its KeyError
+    unknown = set(names) - {doc.bottom, *doc.names}
+    if unknown:
+        print(f"granlower: no definition named {min(unknown)!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    cap = _max_period() if max_period is None else max_period
+    try:
+        reps = convert_calendar(doc, names, minimize=minimize, max_period=cap)
+        for name in reps if gstp else ():
+            reps[name] = gstp_relabel(reps[name])
+    except ConversionError as exc:
+        # convert_calendar names the failing definition; gstp fails on a requested name
+        print(f"granlower: {exc.definition or name}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_CONVERT) from None
     return [(name, reps[name]) for name in names]
 
 
@@ -124,23 +118,29 @@ def _stored_runs(rep: PeriodicRep):
     return ((label, core.runs_of(label)) for label in rep.labels)
 
 
-def _render_text(reps) -> str:
-    blocks = []
-    for name, rep in reps:
-        lines = [f"granularity {name}"]
+def _render_text(reps, out) -> None:
+    # whole granules in batches, as _render_json writes them
+    batch, size = [], 0
+    for i, (name, rep) in enumerate(reps):
+        batch.append(("\n\n" if i else "") + f"granularity {name}")
         if isinstance(rep, EmptyRep):
-            lines.append("empty")
+            batch.append("\nempty")
+            continue
+        if rep.bounds is None:
+            bounds = "none"
         else:
-            if rep.bounds is None:
-                bounds = "none"
-            else:
-                lo, hi = rep.bounds
-                bounds = f"{'-inf' if lo is None else lo}..{'+inf' if hi is None else hi}"
-            suffix = f"P={rep.period} N={rep.step} bounds={bounds}"
-            for label, runs in _stored_runs(rep):
-                lines.append(f"{label}: {_join_runs(runs, ' ')} | {suffix}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+            lo, hi = rep.bounds
+            bounds = f"{'-inf' if lo is None else lo}..{'+inf' if hi is None else hi}"
+        suffix = f" | P={rep.period} N={rep.step} bounds={bounds}"
+        for label, runs in _stored_runs(rep):
+            line = f"\n{label}: {_join_runs(runs, ' ')}{suffix}"
+            batch.append(line)
+            size += len(line)
+            if size >= _BATCH_CHARS:
+                out.write("".join(batch))
+                batch, size = [], 0
+    batch.append("\n")
+    out.write("".join(batch))
 
 
 # json.dumps(..., indent=2) layout: a granule's "bottoms" items sit 14
@@ -197,14 +197,11 @@ def _render_json(doc, reps, out) -> None:
 def cmd_convert(args) -> int:
     doc = _load(args.file)
     names = [args.target] if args.target else list(doc.names)
-    if args.target and args.target not in doc.names and args.target != doc.bottom:
-        print(f"granlower: no definition named {args.target!r}", file=sys.stderr)
-        return EXIT_PARSE
-    reps = _convert_all(doc, names, args.minimize, args.gstp, _max_period())
+    reps = _convert_all(doc, names, args.minimize, args.gstp)
     if args.format == "json":
         _render_json(doc, reps, sys.stdout)
     else:
-        sys.stdout.write(_render_text(reps))
+        _render_text(reps, sys.stdout)
     return EXIT_OK
 
 
@@ -224,10 +221,7 @@ def _parse_label_range(spec: str) -> tuple[int, int]:
 
 def cmd_expand(args) -> int:
     doc = _load(args.file)
-    if args.name not in doc.names and args.name != doc.bottom:
-        print(f"granlower: no definition named {args.name!r}", file=sys.stderr)
-        return EXIT_PARSE
-    ((_, rep),) = _convert_all(doc, [args.name], True, False, _max_period())
+    ((_, rep),) = _convert_all(doc, [args.name], True, False)
     lo, hi = _parse_label_range(args.labels)
     for label in range(lo, hi + 1):
         runs = rep.runs_of(label) if isinstance(rep, PeriodicRep) else ()
@@ -237,10 +231,7 @@ def cmd_expand(args) -> int:
 
 def cmd_up(args) -> int:
     doc = _load(args.file)
-    if args.name not in doc.names and args.name != doc.bottom:
-        print(f"granlower: no definition named {args.name!r}", file=sys.stderr)
-        return EXIT_PARSE
-    ((_, rep),) = _convert_all(doc, [args.name], True, False, _max_period())
+    ((_, rep),) = _convert_all(doc, [args.name], True, False)
     label = rep.up(args.instant)
     print("none" if label is None else label)
     return EXIT_OK
@@ -258,8 +249,7 @@ def _spot_check(rep: Rep, rng: random.Random, lo: int, hi: int) -> str | None:
 
 def cmd_verify(args) -> int:
     doc = _load(args.file)
-    max_period = _max_period()
-    reps = _convert_all(doc, list(doc.names), True, False, max_period)
+    reps = _convert_all(doc, list(doc.names), True, False)
     periods = [r.period for _, r in reps if isinstance(r, PeriodicRep)]
     needed = 3 * max(periods, default=1)
     window = args.window or needed

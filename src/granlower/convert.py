@@ -8,17 +8,16 @@ re-anchored with :func:`granlower.core.normalize_alignment`, so every
 converter output is aligned to bottom instant 1.
 
 :func:`convert_expression` drives the recursion over an expression, caching
-converted subexpressions by structural equality (names resolve through the
-same cache) and optionally interleaving period minimization after every
-operation.
+converted subexpressions by structural equality and optionally interleaving
+period minimization after every operation; :func:`convert_calendar` converts
+a calendar one definition at a time, resolving names through that cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import algebra as ast
 from .core import (
@@ -43,24 +42,17 @@ BOTTOM_REP = PeriodicRep.from_runs(1, 1, {1: ((1, 1),)})
 
 
 class ConversionError(Exception):
-    """A semantic precondition failed while lowering an expression."""
+    """A semantic precondition failed while lowering an expression.
+
+    ``path`` leads to the failing operator; :func:`convert_calendar` sets
+    ``definition`` to the definition it was converting."""
 
     def __init__(self, message: str, path: tuple[str, ...] = ()):
         self.message = message
         self.path = path
+        self.definition: str | None = None
         where = f" (at {' > '.join(path)})" if path else ""
         super().__init__(message + where)
-
-
-@dataclass
-class TraceEntry:
-    """Per-subexpression conversion record, for diagnostics."""
-
-    operation: str
-    period: int
-    step: int
-    anchor: int | None
-    explicit_count: int
 
 
 def delta_select(items: Sequence[int], start: int, count: int) -> list[int]:
@@ -450,26 +442,52 @@ def convert_expression(
     minimize: bool = True,
     cache: dict | None = None,
     max_period: int = DEFAULT_MAX_PERIOD,
-    trace: list[TraceEntry] | None = None,
 ) -> Rep:
-    """Lower a calendar expression to its periodic representation.
+    """Lower one calendar expression to its periodic representation.
 
+    To convert the definitions of a calendar, use :func:`convert_calendar`.
     The expression may use ``subset`` only at the root.  With ``minimize``
     set, the period minimization step runs after every operation's
     conversion.  ``cache`` maps already-converted subexpressions (by
     structural equality) to their representations; reuse it across calls
     only with an unchanged ``minimize`` flag.  A ``Name`` node is allowed
-    when ``cache`` binds it: converting a document one definition at a time,
-    in file order, and binding ``cache[Name(name)]`` to each result makes
-    every reference one lookup.  Otherwise the expression must be closed
-    (see :func:`granlower.algebra.rewrite_to_bottom`).
+    only where ``cache`` binds it, as :func:`convert_calendar` does.
     """
     if cache is None:
         cache = {}
-    return _convert(expr, minimize, cache, max_period, trace, root=True, path=())
+    return _convert(expr, minimize, cache, max_period, root=True, path=())
 
 
-# operation names in error paths and traces: the keywords, except that the
+def convert_calendar(
+    doc: ast.CalendarDoc,
+    names: Iterable[str] | None = None,
+    *,
+    minimize: bool = True,
+    max_period: int = DEFAULT_MAX_PERIOD,
+) -> dict[str, Rep]:
+    """``{name: rep}`` for ``names`` (every definition, in file order, by default).
+
+    The bottom's own name maps to :data:`BOTTOM_REP`.  The definitions the
+    names depend on convert once each, in file order, from their own syntax;
+    binding ``Name(name)`` in the shared cache makes every later reference
+    one lookup, so cost is linear in the calendar's text.  A failure raises
+    :class:`ConversionError` naming the ``definition`` that failed; an
+    unknown name raises :class:`KeyError`.
+    """
+    names = list(doc.names if names is None else names)
+    cache: dict = {}
+    reps = {doc.bottom: BOTTOM_REP}
+    for name, expr in ast.needed_definitions(doc, names):
+        try:
+            reps[name] = convert_expression(expr, minimize=minimize, cache=cache, max_period=max_period)
+        except ConversionError as exc:
+            exc.definition = name
+            raise
+        cache[ast.Name(name)] = reps[name]
+    return {name: reps[name] for name in names}
+
+
+# operation names in error paths: the keywords, except that the
 # intersection keeps the set-operation name convert_set_op knows it by
 _OP_NAMES = {
     ast.Bottom: "bottom",
@@ -478,7 +496,7 @@ _OP_NAMES = {
 }
 
 
-def _convert(expr, minimize, cache, max_period, trace, root, path):
+def _convert(expr, minimize, cache, max_period, root, path):
     if expr in cache:
         return cache[expr]
     name = _OP_NAMES.get(type(expr))
@@ -492,7 +510,7 @@ def _convert(expr, minimize, cache, max_period, trace, root, path):
     here = path + (name,)
 
     def conv(sub):
-        return _convert(sub, minimize, cache, max_period, trace, False, here)
+        return _convert(sub, minimize, cache, max_period, False, here)
 
     try:
         match expr:
@@ -530,18 +548,5 @@ def _convert(expr, minimize, cache, max_period, trace, root, path):
         raise ConversionError(exc.message, here) from None
     if minimize and not isinstance(expr, ast.Bottom):
         result = minimize_rep(result)
-    if trace is not None:
-        if isinstance(result, EmptyRep):
-            trace.append(TraceEntry(name, 0, 0, None, 0))
-        else:
-            trace.append(
-                TraceEntry(
-                    name,
-                    result.period,
-                    result.step,
-                    result.anchor_label,
-                    len(result.explicit),
-                )
-            )
     cache[expr] = result
     return result

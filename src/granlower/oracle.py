@@ -279,16 +279,7 @@ class Definitions:
         self._bottoms: dict[tuple[int, int], _GranuleMap] = {}
 
     def _references(self, expr: ast.CalExpr) -> set[int]:
-        found = set()
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.Name):
-                if node.name in self._position:
-                    found.add(self._position[node.name])
-            else:
-                stack.extend(ast.children(node))
-        return found
+        return {self._position[n] for n in ast.references(expr) if n in self._position}
 
     def bottom(self, lo: int, hi: int) -> _GranuleMap:
         """The bottom granularity's map on ``[lo, hi]``; read-only."""
@@ -327,9 +318,9 @@ def eval_window(
 ) -> WindowEval:
     """Materialize ``expr`` on bottom instants ``[lo, hi]``.
 
-    ``Name`` nodes in ``expr`` resolve through ``definitions``; without it
-    the expression must be closed (see
-    :func:`granlower.algebra.rewrite_to_bottom`).
+    ``Name`` nodes resolve through ``definitions``, one evaluation per
+    definition and window, as :func:`granlower.convert.convert_calendar`
+    resolves them; without it ``expr`` must be closed.
 
     ``guard`` instants on each side are treated as scaffolding: the window's
     ``interior`` is ``[lo + guard, hi - guard]`` and only granules wholly

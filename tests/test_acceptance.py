@@ -14,6 +14,7 @@ from granlower.convert import (
     BOTTOM_REP,
     convert_alter,
     convert_anchored,
+    convert_calendar,
     convert_combine,
     convert_expression,
     convert_group,
@@ -143,9 +144,8 @@ def _is_leap(year: int) -> bool:
 def test_criterion_3_gregorian():
     with _Stopwatch() as w:
         doc = parse_calendar((FIXTURES / "gregorian.cal").read_text())
-        cache = {}
-        month = convert_expression(rewrite_to_bottom(doc, "month"), cache=cache)
-        year = convert_expression(rewrite_to_bottom(doc, "year"), cache=cache)
+        reps = convert_calendar(doc, ["month", "year"])
+        month, year = reps["month"], reps["year"]
         days_in_cycle = sum(365 + _is_leap(y) for y in range(1, 401))
         ok = month.period == days_in_cycle == 146097
         ok &= year.period == days_in_cycle

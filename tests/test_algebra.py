@@ -9,6 +9,7 @@ from granlower.algebra import (
     needed_definitions,
     parse_calendar,
     print_calendar,
+    references,
     rewrite_to_bottom,
     validate,
 )
@@ -191,6 +192,20 @@ class TestRewrite:
         assert [name for name, _ in found] == ["w", "m", "pair"]
         assert found == [d for d in doc.definitions if d[0] in {"w", "m", "pair"}]
         assert needed_definitions(doc, ["d"]) == []
+        with pytest.raises(KeyError):
+            needed_definitions(doc, ["pair", "nope"])
+
+    def test_references_are_direct(self):
+        doc = parse_calendar(
+            "calendar c bottom d;\n"
+            "w = group(7, d);\n"
+            "m = selectdown(1, 1, d, w);\n"
+            "pair = union(m, shift(7, selectup(m, w)));\n"
+        )
+        body = dict(doc.definitions)
+        assert references(body["pair"]) == {"m", "w"}
+        assert references(body["m"]) == {"w"}
+        assert references(body["w"]) == set()
 
     def test_unknown_target(self):
         doc = parse_calendar("calendar c bottom day;\n")

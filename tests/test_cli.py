@@ -120,6 +120,28 @@ class TestConvert:
         code, _, err = run(capsys, "convert", str(fixtures_dir / "basic.cal"), "--target", "nope")
         assert code == 2 and "no definition" in err
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("convert", ["--target", "{}"]),
+            ("expand", ["{}", "--labels", "1"]),
+            ("up", ["{}", "--instant", "1"]),
+        ],
+    )
+    def test_unknown_name_reported_before_bad_cap(
+        self, capsys, fixtures_dir, monkeypatch, command, args
+    ):
+        monkeypatch.setenv("GRANLOWER_MAX_PERIOD", "zero")
+        path = str(fixtures_dir / "basic.cal")
+        nope = [a.format("nope") for a in args]
+        week = [a.format("week") for a in args]
+        assert run(capsys, command, path, *nope) == (
+            2, "", "granlower: no definition named 'nope'\n"
+        )
+        assert run(capsys, command, path, *week) == (
+            1, "", "granlower: invalid GRANLOWER_MAX_PERIOD 'zero'\n"
+        )
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "convert", str(tmp_path / "absent.cal"))
         assert code == 2 and "cannot read" in err
@@ -243,9 +265,9 @@ class TestVerify:
         assert "raised" in err
 
     def test_fault_injection_fails(self, capsys, fixtures_dir, monkeypatch):
-        import granlower.cli as cli
+        import granlower.convert as convert
 
-        real = cli.convert_expression
+        real = convert.convert_expression
 
         def sabotaged(expr, **kwargs):
             rep = real(expr, **kwargs)
@@ -253,7 +275,7 @@ class TestVerify:
                 return PeriodicRep(7, 1, {1: tuple(range(2, 9))})
             return rep
 
-        monkeypatch.setattr(cli, "convert_expression", sabotaged)
+        monkeypatch.setattr(convert, "convert_expression", sabotaged)
         code, out, _ = run(capsys, "verify", str(fixtures_dir / "basic.cal"))
         assert code == 4
         assert any(line.startswith("FAIL") for line in out.splitlines())
@@ -273,9 +295,11 @@ EDGES = (
 )
 
 
-def shift_chain(n: int) -> str:
+def chain(op: str, n: int) -> str:
+    """``x_i = union(x_{i-1}, x_{i-1})`` or ``shift(1, x_{i-1})``, n deep."""
+    body = "union(x{0}, x{0})" if op == "union" else "shift(1, x{0})"
     lines = ["calendar chain bottom day;", "x0 = group(3, day);"]
-    lines += [f"x{i} = shift(1, x{i - 1});" for i in range(1, n + 1)]
+    lines += [f"x{i} = " + body.format(i - 1) + ";" for i in range(1, n + 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -316,6 +340,18 @@ def reference_text(path, *flags) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+class Recording:
+    """A stream that keeps each write."""
+
+    def __init__(self):
+        self.texts = []
+        self.sizes = []
+
+    def write(self, text):
+        self.texts.append(text)
+        self.sizes.append(len(text))
+
+
 class TestOutputBytes:
     """The CLI writes JSON and text from runs; its bytes must stay those of
     ``json.dumps(..., indent=2)`` over ``to_json_dict()`` and of a
@@ -342,7 +378,7 @@ class TestOutputBytes:
     @pytest.mark.parametrize("calendar", ["edges", "chain"])
     def test_generated_json(self, capsys, tmp_path, calendar, flags):
         path = tmp_path / f"{calendar}.cal"
-        path.write_text(EDGES if calendar == "edges" else shift_chain(300))
+        path.write_text(EDGES if calendar == "edges" else chain("shift", 300))
         code, out, err = run(capsys, "convert", str(path), *flags)
         if calendar == "edges" and "--gstp" in flags:
             assert code == 3 and out == "" and err.startswith("granlower: never: ")
@@ -383,19 +419,21 @@ class TestOutputBytes:
 
     def test_json_written_in_batches(self, fixtures_dir):
         # neither one write per token nor the whole document in one string
-        class Recording:
-            def __init__(self):
-                self.sizes = []
-
-            def write(self, text):
-                self.sizes.append(len(text))
-
         doc, reps = reference_reps(fixtures_dir / "gregorian.cal")
         out = Recording()
         cli._render_json(doc, reps, out)
         granules = sum(len(rep.labels) for _, rep in reps)
         assert 1 < len(out.sizes) < granules // 10
         assert max(out.sizes) < sum(out.sizes) // 10
+
+    def test_text_written_in_batches(self, fixtures_dir):
+        out = Recording()
+        doc, reps = reference_reps(fixtures_dir / "gregorian.cal")
+        cli._render_text(reps, out)
+        granules = sum(len(rep.labels) for _, rep in reps)
+        assert 1 < len(out.sizes) < granules // 10
+        assert max(out.sizes) < sum(out.sizes) // 10
+        assert "".join(out.texts) == reference_text(fixtures_dir / "gregorian.cal")
 
 
 @contextlib.contextmanager
@@ -422,11 +460,8 @@ class TestDeepDefinitions:
     @pytest.mark.parametrize("command", ["convert", "verify"])
     @pytest.mark.parametrize("op, n", [("union", 300), ("shift", 5000)])
     def test_chain(self, capsys, tmp_path, command, op, n):
-        body = "union(x{0}, x{0})" if op == "union" else "shift(1, x{0})"
-        lines = ["calendar chain bottom day;", "x0 = group(3, day);"]
-        lines += [f"x{i} = " + body.format(i - 1) + ";" for i in range(1, n + 1)]
         path = tmp_path / "chain.cal"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(chain(op, n))
         start = time.perf_counter()
         with deadline(60):
             code, out, err = run(capsys, command, str(path))

@@ -1,15 +1,18 @@
 """Per-operation conversion tests over small hand-built configurations with
 independently worked-out expected values, plus identity and failure cases."""
 
+import time
+
 import pytest
 
 from granlower import algebra as ast
+from granlower.algebra import parse_calendar, rewrite_to_bottom
 from granlower.convert import (
     BOTTOM_REP,
     ConversionError,
-    TraceEntry,
     convert_alter,
     convert_anchored,
+    convert_calendar,
     convert_combine,
     convert_expression,
     convert_group,
@@ -24,6 +27,8 @@ from granlower.convert import (
     relabel,
 )
 from granlower.core import EmptyRep, PeriodicRep
+
+from .test_cli import FAILING, chain, deadline
 
 
 def expansion_equal(a, b, labels):
@@ -429,10 +434,60 @@ class TestConvertExpression:
         with pytest.raises(ConversionError, match="cap"):
             convert_expression(expr, max_period=10_000)
 
-    def test_trace_records_steps(self):
-        trace = []
-        convert_expression(ast.Group(7, ast.Bottom()), trace=trace)
-        assert trace == [
-            TraceEntry("bottom", 1, 1, 1, 1),
-            TraceEntry("group", 7, 1, 1, 1),
-        ]
+
+class TestConvertCalendar:
+    @pytest.mark.parametrize("op, n", [("union", 300), ("shift", 5000)])
+    def test_deep_chain(self, op, n):
+        doc = parse_calendar(chain(op, n))
+        start = time.perf_counter()
+        with deadline(60):
+            reps = convert_calendar(doc)
+        elapsed = time.perf_counter() - start
+        # a union of x with itself is x; each shift adds one to every label
+        label = 1 if op == "union" else n + 1
+        assert reps[f"x{n}"] == PeriodicRep(3, 1, {label: (1, 2, 3)})
+        # hundredths of a second on a 2-core machine; closed trees took 2^n
+        # steps on the union chain and overflowed the stack on the shift chain
+        assert elapsed < 1
+
+    def test_all_definitions_in_file_order(self, fixtures_dir):
+        doc = parse_calendar((fixtures_dir / "basic.cal").read_text())
+        assert list(convert_calendar(doc)) == list(doc.names)
+
+    def test_requested_names_in_given_order(self, fixtures_dir):
+        doc = parse_calendar((fixtures_dir / "basic.cal").read_text())
+        last, first = doc.names[-1], doc.names[0]
+        assert list(convert_calendar(doc, [last, first])) == [last, first]
+
+    def test_bottom_name(self):
+        doc = parse_calendar("calendar c bottom day;\nweek = group(7, day);\n")
+        assert convert_calendar(doc, ["day"]) == {"day": BOTTOM_REP}
+
+    def test_failing_dependency_named(self):
+        doc = parse_calendar(FAILING + "later = shift(1, broken);\n")
+        with pytest.raises(ConversionError) as err:
+            convert_calendar(doc, ["later"])
+        assert err.value.definition == "broken"
+        assert err.value.path == ("group",)
+        with pytest.raises(ConversionError) as closed:
+            convert_expression(rewrite_to_bottom(doc, "broken"))
+        assert str(err.value) == str(closed.value)
+
+    def test_unknown_name(self):
+        doc = parse_calendar("calendar c bottom day;\nweek = group(7, day);\n")
+        with pytest.raises(KeyError):
+            convert_calendar(doc, ["week", "month"])
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    @pytest.mark.parametrize(
+        "fixture", ["basic", "toyleap", "gregorian", "gregorian_doubled"]
+    )
+    def test_matches_closed_trees(self, fixtures_dir, fixture, minimize):
+        doc = parse_calendar((fixtures_dir / f"{fixture}.cal").read_text())
+        reps = convert_calendar(doc, minimize=minimize)
+        cache = {}
+        for name in doc.names:
+            closed = convert_expression(
+                rewrite_to_bottom(doc, name), minimize=minimize, cache=cache
+            )
+            assert reps[name] == closed, name

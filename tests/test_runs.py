@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granlower.algebra import Name, needed_definitions, parse_calendar
-from granlower.convert import convert_expression
+from granlower.algebra import parse_calendar
+from granlower.convert import convert_calendar
 from granlower.core import EmptyRep, PeriodicRep, normalize_alignment
 from granlower.minimize import minimize
 
@@ -256,12 +256,10 @@ class TestMinuteBottom:
         )
         doc = parse_calendar(text)
         start = time.perf_counter()
-        cache = {}
         with deadline(60):
-            for name, expr in needed_definitions(doc, ["month", "year"]):
-                cache[Name(name)] = convert_expression(expr, cache=cache)
+            reps = convert_calendar(doc, ["month", "year"])
         elapsed = time.perf_counter() - start
-        month, year = cache[Name("month")], cache[Name("year")]
+        month, year = reps["month"], reps["year"]
         assert (month.period, month.step) == (self.PERIOD, 4800)
         assert (year.period, year.step) == (self.PERIOD, 400)
         minute = lambda day: (day - 1) * 1440 + 1  # noqa: E731  first minute of a day
