@@ -225,40 +225,39 @@ class CalendarSyntaxError(Exception):
         self.column = column
 
 
-@dataclass
-class _Token:
-    kind: str  # "int" | "ident" | "neg_inf" | punctuation itself | "eof"
-    text: str
-    line: int
-    column: int
+# a token is (kind, text, offset): kind is "int", "ident", "neg_inf", the
+# punctuation itself or "eof"; offset indexes the source text
+_Token = tuple[str, str, int]
+
+
+def _syntax_error(text: str, offset: int, message: str) -> CalendarSyntaxError:
+    # line and column (both 1-based) are worked out only when an error is raised
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return CalendarSyntaxError(message, line, column)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise CalendarSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "punct":
-            tokens.append(_Token(value, value, line, col))
-        elif kind != "ws":
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+    pos = 0
+    for m in _TOKEN.finditer(text):
+        start = m.start()
+        if start != pos:  # finditer skipped what no token matches
+            break
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            tokens.append((value if kind == "punct" else kind, value, start))
+    if pos != len(text):
+        raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
+    tokens.append(("eof", "", pos))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -267,58 +266,53 @@ class _Parser:
 
     def take(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.text else "end of input"
-            raise CalendarSyntaxError(
-                f"expected {what or kind}, found {found}", tok.line, tok.column
-            )
+        if tok[0] != kind:
+            found = repr(tok[1]) if tok[1] else "end of input"
+            raise self.error(f"expected {what or kind}, found {found}", tok)
         self.pos += 1
         return tok
 
-    def error(self, message: str) -> CalendarSyntaxError:
-        tok = self.peek()
-        return CalendarSyntaxError(message, tok.line, tok.column)
+    def error(self, message: str, tok: _Token | None = None) -> CalendarSyntaxError:
+        """The error at ``tok``, by default the next token."""
+        return _syntax_error(self.text, (tok or self.peek())[2], message)
 
     def fresh_name(self, seen: set[str]) -> str:
         tok = self.take("ident", "a name")
-        if tok.text in KEYWORDS:
-            raise CalendarSyntaxError(
-                f"{tok.text!r} is reserved and cannot name a granularity",
-                tok.line,
-                tok.column,
-            )
-        if tok.text in seen:
-            raise CalendarSyntaxError(f"duplicate name {tok.text!r}", tok.line, tok.column)
-        return tok.text
+        name = tok[1]
+        if name in KEYWORDS:
+            raise self.error(f"{name!r} is reserved and cannot name a granularity", tok)
+        if name in seen:
+            raise self.error(f"duplicate name {name!r}", tok)
+        return name
 
     def integer(self) -> int:
-        return int(self.take("int", "an integer").text)
+        return int(self.take("int", "an integer")[1])
 
     def positive(self, what: str) -> int:
         tok = self.peek()
         value = self.integer()
         if value < 1:
-            raise CalendarSyntaxError(f"{what} must be positive, got {value}", tok.line, tok.column)
+            raise self.error(f"{what} must be positive, got {value}", tok)
         return value
 
     def nonzero(self, what: str) -> int:
         tok = self.peek()
         value = self.integer()
         if value == 0:
-            raise CalendarSyntaxError(f"{what} must be nonzero", tok.line, tok.column)
+            raise self.error(f"{what} must be nonzero", tok)
         return value
 
     def bound(self, side: str) -> int | None:
-        tok = self.peek()
-        if tok.kind == "neg_inf":
-            self.pos += 1
+        kind, text, _ = tok = self.peek()
+        if kind == "neg_inf":
             if side != "lo":
-                raise CalendarSyntaxError("-inf is only valid as a lower bound", tok.line, tok.column)
-            return None
-        if tok.kind == "ident" and tok.text == "inf":
+                raise self.error("-inf is only valid as a lower bound", tok)
             self.pos += 1
+            return None
+        if kind == "ident" and text == "inf":
             if side != "hi":
-                raise CalendarSyntaxError("inf is only valid as an upper bound", tok.line, tok.column)
+                raise self.error("inf is only valid as an upper bound", tok)
+            self.pos += 1
             return None
         return self.integer()
 
@@ -331,7 +325,7 @@ class _Parser:
         seen.add(bottom)
         self.take(";")
         defs: list[tuple[str, CalExpr]] = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             name = self.fresh_name(seen)
             self.take("=")
             expr = self.expression(bottom, seen, outermost=True)
@@ -341,27 +335,25 @@ class _Parser:
         return CalendarDoc(cal_name, bottom, tuple(defs))
 
     def take_keyword(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise CalendarSyntaxError(f"expected {word!r}", tok.line, tok.column)
+        kind, text, _ = self.peek()
+        if kind != "ident" or text != word:
+            raise self.error(f"expected {word!r}")
         self.pos += 1
 
     def expression(self, bottom: str, seen: set[str], outermost: bool = False) -> CalExpr:
         tok = self.take("ident", "a granularity expression")
-        word = tok.text
+        word = tok[1]
         if word not in KEYWORDS:
             if word == bottom:
                 return Bottom()
             if word not in seen:
-                raise CalendarSyntaxError(f"unknown granularity {word!r}", tok.line, tok.column)
+                raise self.error(f"unknown granularity {word!r}", tok)
             return Name(word)
         if word not in OPERATORS:
-            raise CalendarSyntaxError(f"unexpected keyword {word!r}", tok.line, tok.column)
+            raise self.error(f"unexpected keyword {word!r}", tok)
         if word == "subset" and not outermost:
-            raise CalendarSyntaxError(
-                "subset may only appear as the outermost operation of a definition",
-                tok.line,
-                tok.column,
+            raise self.error(
+                "subset may only appear as the outermost operation of a definition", tok
             )
         self.take("(")
         expr = self._operator_body(word, tok, bottom, seen)
@@ -377,13 +369,9 @@ class _Parser:
             args.append(getattr(self, kind)(*extra))
         # cross-checks of the scalars run before any operand is parsed
         if cls is Alter and args[0] > args[2]:
-            raise CalendarSyntaxError(
-                f"alter slot {args[0]} exceeds cycle {args[2]}", tok.line, tok.column
-            )
+            raise self.error(f"alter slot {args[0]} exceeds cycle {args[2]}", tok)
         if cls is Subset and None not in args and args[0] > args[1]:
-            raise CalendarSyntaxError(
-                f"subset bounds {args[0]}..{args[1]} are inverted", tok.line, tok.column
-            )
+            raise self.error(f"subset bounds {args[0]}..{args[1]} are inverted", tok)
         for _ in cls.__match_args__[len(kinds):]:
             if args:
                 self.take(",")

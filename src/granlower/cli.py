@@ -20,6 +20,7 @@ Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 conversion precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -71,7 +72,7 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"granlower: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
     try:
@@ -106,10 +107,39 @@ def _convert_all(doc, names, minimize: bool, gstp: bool, max_period: int | None 
     return [(name, reps[name]) for name in names]
 
 
+@functools.lru_cache(maxsize=2)
+def _block_template(sep: str) -> str:
+    # the entries "\0" + f"{j:03d}" + sep for j = 0..999; _block writes k in
+    # place of each "\0" (no separator holds one)
+    return "".join(f"\0{j:03d}{sep}" for j in range(1000))
+
+
+@functools.lru_cache(maxsize=1)
+def _block(k: int, sep: str) -> str:
+    """``1000k``, ..., ``1000k + 999``, each followed by ``sep`` (``k >= 1``)."""
+    return _block_template(sep).replace("\0", str(k))
+
+
 def _join_runs(runs, sep: str) -> str:
-    # the indices of (start, end) runs, joined by sep; Python-level work is
-    # per run, not per index
-    return sep.join(sep.join(map(str, range(s, e + 1))) for s, e in runs)
+    # the indices of (start, end) runs, joined by sep.  From 1000 up, the
+    # numbers of a block [1000k, 1000k + 999] all have the same width, so a
+    # run is sliced out of its blocks' text: Python-level work is per run or
+    # per 1,000 indices, not per index
+    parts = []
+    for s, e in runs:
+        if s < 1000:
+            parts.append(sep.join(map(str, range(s, min(e, 999) + 1))) + sep)
+            s = 1000
+        for k in range(s // 1000, e // 1000 + 1):
+            block = _block(k, sep)
+            width = len(block) // 1000
+            lo = max(s - 1000 * k, 0)
+            hi = min(e - 1000 * k, 999)
+            parts.append(block[lo * width : (hi + 1) * width])
+    if not parts:
+        return ""
+    parts[-1] = parts[-1][: len(parts[-1]) - len(sep)]
+    return "".join(parts)
 
 
 def _stored_runs(rep: PeriodicRep):

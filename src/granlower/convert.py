@@ -26,8 +26,9 @@ from .core import (
     PeriodicRep,
     Rep,
     Runs,
+    consecutive_spans,
     join_runs,
-    mindist,
+    mindist,  # no longer called here; kept for callers that look it up here
     runs_within,
 )
 
@@ -150,16 +151,20 @@ def convert_alter(
         raise ConversionError("alter unit is empty and cannot partition the base")
     _require_full_integer(base, "alter")
     _require_full_integer(unit, "alter")
+    p1, n1 = base.period, base.step
+    p2, n2 = unit.period, unit.step
+    # one pass over a common period both checks the partition and finds each
+    # base granule's first and last unit labels; the mindist is read off it
+    horizon = math.lcm(p1, p2)
     try:
-        distance = mindist(base, unit)
+        spans = consecutive_spans(base, unit, horizon)
     except GranularityError as exc:
         raise ConversionError(f"alter unit does not partition the base: {exc}") from exc
+    distance = min(b_nxt - b_cur for (_, b_cur, _), (_, b_nxt, _) in zip(spans, spans[1:]))
     if change <= -(distance - 1):
         raise ConversionError(
             f"alter change {change} must exceed -(mindist-1) = {-(distance - 1)}"
         )
-    p1, n1 = base.period, base.step
-    p2, n2 = unit.period, unit.step
     step = math.lcm(
         n1,
         cycle,
@@ -172,12 +177,18 @@ def convert_alter(
     if period_frac.denominator != 1 or period_frac < 1:
         raise ConversionError(f"alter produced an invalid period {period_frac}")
     period = _cap(int(period_frac), max_period)
+    # the table's first rows are the base labels l0, l0 + 1, ... of one
+    # horizon; base label i + rows is label i shifted by the horizon, which
+    # moves its unit labels by `advance`
+    l0 = spans[0][0]
+    rows = horizon // p1 * n1
+    advance = horizon // p2 * n2
     raw = {}
     for i in range(1, step + 1):
-        g = base.runs_of(i)
-        b = unit.up(g[0][0])
-        t = unit.up(g[-1][1])
-        assert b is not None and t is not None  # partition already verified
+        cycles, row = divmod(i - l0, rows)
+        _, b, t = spans[row]
+        b += cycles * advance
+        t += cycles * advance
         h = (i - slot) // cycle + 1
         if (i - slot) % cycle == 0:
             b2 = b + (h - 1) * change

@@ -260,15 +260,13 @@ class PeriodicRep:
         # the stored runs of this label's residue and the shift to reach it
         if not self._in_bounds(label):
             return None
-        base = self.first_label
-        jp = (label - 1) % self.step + 1
-        k = ((base - 1) // self.step) * self.step + jp
-        if k < base:
-            k += self.step
+        # k: the label of the window [first_label, first_label + step - 1]
+        # congruent to label modulo step
+        k = self.first_label + (label - self.first_label) % self.step
         stored = self._runs.get(k)
         if stored is None:
             return None
-        return stored, self.period * ((label - 1) // self.step - (k - 1) // self.step)
+        return stored, self.period * ((label - k) // self.step)
 
     def runs_of(self, label: int) -> Runs:
         """Runs of the granule with this label; ``()`` off the label set."""
@@ -337,7 +335,9 @@ class PeriodicRep:
         Granules are time-ordered, so the union is every covered instant from
         the start of ``first`` to the end of ``last``.
         """
-        lo, hi = self.runs_of(first)[0][0], self.runs_of(last)[-1][1]
+        # the two endpoints only, without building shifted run tuples
+        (head, d0), (tail, d1) = self._locate(first), self._locate(last)
+        lo, hi = head[0][0] + d0, tail[-1][1] + d1
         if self._cover_index().gapless:
             return ((lo, hi),)
         return join_runs([[(max(s, lo), min(e, hi)) for s, e, _ in self._covered(lo, hi)]])
@@ -502,7 +502,9 @@ def _anchor_label(granules: Iterable[tuple[int, Runs]], period: int, step: int) 
         s = _ceil_div(1 - runs[-1][1], period)
         shift = s * period
         # the first run reaching past instant 0 holds the smallest positive instant
-        start = next(x for x, y in runs if y + shift >= 1)
+        start = runs[0][0]
+        if runs[0][1] + shift < 1:
+            start = next(x for x, y in runs if y + shift >= 1)
         instant = max(start + shift, 1)
         if best is not None and instant == best[0]:
             raise GranularityError("two granules cover the same instant")

@@ -72,6 +72,93 @@ class TestParse:
             parse_calendar("calendar c bottom d;\nx = group(2, y);")
         assert err.value.line == 2 and err.value.column == 14
 
+    # (id, source, message, line, column); a tab, a "\r" and a comment each
+    # count as ordinary characters of their line
+    POSITIONED = [
+        (
+            'tab_indent', 'calendar c bottom day;\n\tweek = group(7, day) ;\n\tbad = group(0, day);\n',
+            '3:14: grouping size must be positive, got 0', 3, 14,
+        ),
+        (
+            'comment_then_bad_char', '# comment\ncalendar c bottom day; # trailing\nweek = group(7, day);\n@\n',
+            "4:1: unexpected character '@'", 4, 1,
+        ),
+        (
+            'crlf_unknown_name', 'calendar c bottom day;\r\nweek = group(7, day);\r\nx = group(7, month);\r\n',
+            "3:14: unknown granularity 'month'", 3, 14,
+        ),
+        (
+            'missing_semicolon_at_eof', 'calendar c bottom day;\nweek = group(7, day)',
+            '2:21: expected ;, found end of input', 2, 21,
+        ),
+        (
+            'tabs_then_bad_char', 'calendar c bottom day;\n\t\t$',
+            "2:3: unexpected character '$'", 2, 3,
+        ),
+        (
+            'inf_as_lower_bound', 'calendar c bottom day;\nw = subset(inf, 3, day);\n',
+            '2:12: inf is only valid as an upper bound', 2, 12,
+        ),
+        (
+            'crlf_comment_alter_slot', 'calendar c bottom day;\r\n  # note\r\n  w = alter(5, 1, 3, day, day);\r\n',
+            '3:7: alter slot 5 exceeds cycle 3', 3, 7,
+        ),
+        (
+            'eof_after_comment', 'calendar c bottom day;\nweek = # c\n',
+            '3:1: expected a granularity expression, found end of input', 3, 1,
+        ),
+        (
+            'non_ascii', 'calendar c bottom day;\nwéek = group(7, day);\n',
+            "2:2: unexpected character 'é'", 2, 2,
+        ),
+        (
+            'duplicate_after_blank_lines', 'calendar c bottom day;\n\n\nweek = group(7, day);\n\tweek = group(2, day);',
+            "5:2: duplicate name 'week'", 5, 2,
+        ),
+        (
+            'empty_text', '',
+            "1:1: expected 'calendar'", 1, 1,
+        ),
+        (
+            'reserved_name', 'calendar c bottom day;\n# group is a keyword\ngroup = group(2, day);',
+            "3:1: 'group' is reserved and cannot name a granularity", 3, 1,
+        ),
+        (
+            'neg_inf_as_upper_bound', 'calendar c bottom day;\nx = subset(1, -inf, day);\n',
+            '2:15: -inf is only valid as a lower bound', 2, 15,
+        ),
+        (
+            'bare_cr', 'calendar c bottom day;\rweek = group(0, day);',
+            '1:37: grouping size must be positive, got 0', 1, 37,
+        ),
+        (
+            'inverted_subset_crlf', 'calendar c bottom day;\r\n\r\nx = subset(5, 2, day);',
+            '3:5: subset bounds 5..2 are inverted', 3, 5,
+        ),
+        (
+            'zero_select_start', 'calendar c bottom day;\n# a\n# b\n  x = selectdown(0, 1, day, day);\n',
+            '4:18: selection start must be nonzero', 4, 18,
+        ),
+        (
+            'unexpected_keyword', 'calendar c bottom day;\r\n\tx = bottom;',
+            "2:6: unexpected keyword 'bottom'", 2, 6,
+        ),
+        (
+            'missing_bottom', '# c\n  calendar c\tday;',
+            "2:14: expected 'bottom'", 2, 14,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [case[1:] for case in POSITIONED],
+        ids=[case[0] for case in POSITIONED],
+    )
+    def test_error_message_and_position(self, source, message, line, column):
+        with pytest.raises(CalendarSyntaxError) as err:
+            parse_calendar(source)
+        assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
 
 class TestPrint:
     def test_round_trip_fixture(self, fixtures_dir):

@@ -4,6 +4,8 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granlower import cli
 from granlower.algebra import parse_calendar
@@ -146,6 +148,20 @@ class TestConvert:
         code, _, err = run(capsys, "convert", str(tmp_path / "absent.cal"))
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [("convert", ()), ("up", ("x", "--instant", "1")),
+         ("expand", ("x", "--labels", "1")), ("verify", ())],
+    )
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, command, args):
+        path = tmp_path / "bad.cal"
+        path.write_bytes(b"calendar x bottom day;\n\xff\n")
+        assert run(capsys, command, str(path), *args) == (
+            2, "",
+            f"granlower: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 23: invalid start byte\n",
+        )
+
     def test_usage_error_exit_1(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
@@ -233,6 +249,17 @@ class TestExpand:
             capsys, "expand", str(fixtures_dir / "basic.cal"), "week", "--labels", "3..1"
         )
         assert code == 1 and "range" in err
+
+    def test_gregorian_months_across_blocks(self, capsys, fixtures_dir):
+        # months 30..40 hold days 878..1217, across the 999/1000 boundary
+        path = fixtures_dir / "gregorian.cal"
+        month = dict(reference_reps(path)[1])["month"]
+        code, out, err = run(capsys, "expand", str(path), "month", "--labels", "30..40")
+        assert code == 0, err
+        assert out == "".join(
+            f"{label}: {' '.join(str(x) for x in month.expand(label))}\n"
+            for label in range(30, 41)
+        )
 
 
 class TestUp:
@@ -434,6 +461,61 @@ class TestOutputBytes:
         assert 1 < len(out.sizes) < granules // 10
         assert max(out.sizes) < sum(out.sizes) // 10
         assert "".join(out.texts) == reference_text(fixtures_dir / "gregorian.cal")
+
+
+def joined(runs, sep):
+    """The text ``_join_runs`` must produce, one ``str`` per index."""
+    return sep.join(str(x) for s, e in runs for x in range(s, e + 1))
+
+
+SEPARATORS = [" ", cli._BOTTOMS_SEP]
+
+
+@st.composite
+def run_lists(draw):
+    """Sorted, disjoint runs starting near a change of width, with blocks crossed."""
+    edge = draw(st.sampled_from([-20, 0, 999, 1000, 9999, 10000, 99999, 100000, 10**6]))
+    start = edge + draw(st.integers(-30, 30))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        end = start + draw(st.one_of(st.just(0), st.integers(0, 40), st.integers(900, 3100)))
+        runs.append((start, end))
+        start = end + draw(st.integers(2, 1500))
+    return runs
+
+
+class TestJoinRuns:
+    """``_join_runs`` slices runs out of per-1,000 text blocks; its text must
+    be the per-index join for every separator, width and block boundary."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=run_lists(), sep=st.sampled_from(SEPARATORS))
+    def test_matches_per_index_join(self, runs, sep):
+        assert cli._join_runs(runs, sep) == joined(runs, sep)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [(999, 1000)], [(1000, 1000)], [(9999, 10000)], [(99999, 100000)],
+            [(10**6 - 1, 10**6)], [(-3, 2)], [(0, 0)], [(-1, -1)], [(-5, 1004)],
+            [(1998, 5001)], [(7, 7), (9, 9), (1001, 1001)], [],
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_edges(self, runs, sep):
+        assert cli._join_runs(runs, sep) == joined(runs, sep)
+
+    def test_alternating_separators_use_their_own_block(self):
+        # the same block of indices asked for with each separator in turn
+        runs = [(1500, 1502)]
+        for sep in SEPARATORS * 3:
+            assert cli._join_runs(runs, sep) == joined(runs, sep)
+
+    def test_one_block_is_kept(self):
+        cli._join_runs([(1000, 5999)], " ")
+        cli._join_runs([(1000, 5999)], cli._BOTTOMS_SEP)
+        assert cli._block.cache_info().currsize == 1
 
 
 @contextlib.contextmanager

@@ -4,8 +4,11 @@ independently worked-out expected values, plus identity and failure cases."""
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granlower import algebra as ast
+from granlower import convert
 from granlower.algebra import parse_calendar, rewrite_to_bottom
 from granlower.convert import (
     BOTTOM_REP,
@@ -26,7 +29,8 @@ from granlower.convert import (
     gstp_relabel,
     relabel,
 )
-from granlower.core import EmptyRep, PeriodicRep
+from granlower.core import EmptyRep, PeriodicRep, mindist, normalize_alignment
+from granlower.minimize import minimize
 
 from .test_cli import FAILING, chain, deadline
 
@@ -122,6 +126,132 @@ class TestAlter:
         month30 = convert_group(day_rep, 30)
         with pytest.raises(ConversionError, match="partition"):
             convert_alter(week_rep, month30, 1, 1, 2)
+
+
+def alter_reference(unit, base, slot, change, cycle, label):
+    """Granule ``label`` of the alter, instant by instant from the definition:
+    the unit labels at the ends of base granule ``label``, moved by the
+    changes of the cycles before it (and the slot's own change at its end)."""
+    g = base.expand(label)
+    b, t = unit.up(g[0]), unit.up(g[-1])
+    h = (label - slot) // cycle + 1
+    b2 = b + (h - 1) * change if (label - slot) % cycle == 0 else b + h * change
+    t2 = t + h * change
+    return tuple(x for j in range(b2, t2 + 1) for x in unit.expand(j))
+
+
+def assert_alter_matches(unit, base, slot, change, cycle):
+    out = convert_alter(unit, base, slot, change, cycle)
+    for label in range(-2 * out.step, 3 * out.step + 1):
+        assert out.expand(label) == alter_reference(unit, base, slot, change, cycle, label)
+    return out
+
+
+# unit granules of 1, 5, 2 and 4 days (P = 12) pair up into 6-day base
+# granules (P = 6): one horizon of 12 days holds two base labels, so the
+# table of unit labels is extended across horizons
+UNEVEN = PeriodicRep(12, 4, {1: (1,), 2: (2, 3, 4, 5, 6), 3: (7, 8), 4: (9, 10, 11, 12)})
+SIX = PeriodicRep(6, 1, {1: tuple(range(1, 7))})
+# two-day units stored with P = 6, under four-day base granules (P = 4)
+DAY2_BY_3 = PeriodicRep(2, 1, {1: (1, 2)}).scaled(3)
+FOUR = PeriodicRep(4, 1, {0: (-3, -2, -1, 0)})
+
+
+class TestAlterTable:
+    """``convert_alter`` reads each base granule's unit labels off one pass
+    over a common period of unit and base, extended periodically."""
+
+    @pytest.mark.parametrize(
+        "unit, base", [(UNEVEN, SIX), (DAY2_BY_3, FOUR)], ids=["uneven", "day2"]
+    )
+    @pytest.mark.parametrize(
+        "slot, change, cycle", [(1, 1, 2), (2, 3, 3), (3, 2, 5), (1, 0, 1)]
+    )
+    def test_unit_period_does_not_divide_base(self, unit, base, slot, change, cycle):
+        assert base.period % unit.period
+        assert_alter_matches(unit, base, slot, change, cycle)
+
+    def test_change_at_the_limit(self):
+        # week granules hold 7 days: the tightest legal change leaves 2
+        week = PeriodicRep(7, 1, {1: tuple(range(1, 8))})
+        assert mindist(week, BOTTOM_REP) == 7
+        out = assert_alter_matches(BOTTOM_REP, week, 2, -5, 3)
+        assert len(out.expand(2)) == 2 and len(out.expand(3)) == 7
+        with pytest.raises(ConversionError) as err:
+            convert_alter(BOTTOM_REP, week, 2, -6, 3)
+        assert str(err.value) == "alter change -6 must exceed -(mindist-1) = -6"
+
+    def test_limit_read_off_uneven_units(self):
+        # UNEVEN has two units in every base granule, so mindist is 2
+        assert_alter_matches(UNEVEN, SIX, 1, 0, 2)
+        with pytest.raises(ConversionError) as err:
+            convert_alter(UNEVEN, SIX, 1, -1, 2)
+        assert str(err.value) == "alter change -1 must exceed -(mindist-1) = -1"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("x = alter(1, 1, 2, combine(week, mon), week);",
+             "alter unit does not partition the base: granule 1 is not covered "
+             "by the unit granularity (at alter)"),
+            ("x = alter(1, 1, 2, week, group(30, day));",
+             "alter unit does not partition the base: granule 1 is not a union "
+             "of consecutive unit granules (at alter)"),
+            ("wm = combine(week, mon);\nx = alter(1, 1, 2, day, wm);",
+             "alter unit does not partition the base: a unit granule falls "
+             "between two granules of the coarser operand (at alter)"),
+            ("x = alter(1, -6, 2, day, week);",
+             "alter change -6 must exceed -(mindist-1) = -6 (at alter)"),
+        ],
+        ids=["not_covered", "not_consecutive", "unit_between", "mindist"],
+    )
+    def test_messages(self, body, message):
+        doc = parse_calendar(
+            "calendar c bottom day;\nweek = group(7, day);\n"
+            "mon = selectdown(1, 1, day, week);\n" + body + "\n"
+        )
+        with pytest.raises(ConversionError) as err:
+            convert_calendar(doc)
+        assert (str(err.value), err.value.definition) == (message, "x")
+
+    def test_shrunk_away_message(self, monkeypatch):
+        # unreachable once the mindist check passes; a table claiming base
+        # granules 10 units apart but one unit long reaches it
+        week = PeriodicRep(7, 1, {1: tuple(range(1, 8))})
+        monkeypatch.setattr(
+            convert, "consecutive_spans",
+            lambda base, unit, horizon: [(lab, 10 * lab, 10 * lab) for lab in (1, 2)],
+        )
+        with pytest.raises(ConversionError) as err:
+            convert_alter(BOTTOM_REP, week, 1, -4, 4)
+        assert str(err.value) == "alter shrank granule 1 away entirely"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_definition(self, data):
+        # gapless units of 1-4 days, grouped into base granules of consecutive
+        # units; minimizing the base can leave a period the unit's does not divide
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        offset = data.draw(st.integers(-5, 5))
+        window, at = {}, offset
+        for label, n in enumerate(lengths, start=data.draw(st.integers(-3, 3))):
+            window[label] = tuple(range(at, at + n))
+            at += n
+        unit = normalize_alignment(window, sum(lengths), len(lengths))
+        repeats = data.draw(st.integers(1, 3))
+        units = len(lengths) * repeats
+        cuts = sorted(c for c in data.draw(st.sets(st.integers(1, units), max_size=units)) if c < units)
+        bounds = [0, *cuts, units]
+        first = unit.first_label
+        groups = {
+            k: tuple(x for j in range(first + lo, first + hi) for x in unit.expand(j))
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        }
+        base = minimize(normalize_alignment(groups, unit.period * repeats, len(groups)))
+        cycle = data.draw(st.integers(1, 4))
+        slot = data.draw(st.integers(1, cycle))
+        change = data.draw(st.integers(-(mindist(base, unit) - 2), 3))
+        assert_alter_matches(unit, base, slot, change, cycle)
 
 
 class TestShift:
