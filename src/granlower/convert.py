@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import algebra as ast
 from .core import (
@@ -93,8 +93,7 @@ def _cap(period: int, max_period: int) -> int:
 
 
 def _require_full_integer(rep: PeriodicRep, op: str) -> None:
-    if rep.bounds is not None:
-        raise ConversionError(f"operand of {op} carries subset bounds")
+    _require_unbounded(rep, op)
     if len(rep.explicit) != rep.step:
         raise ConversionError(
             f"operand of {op} is not full-integer labeled "
@@ -107,11 +106,26 @@ def _require_unbounded(rep: Rep, op: str) -> None:
         raise ConversionError(f"operand of {op} carries subset bounds")
 
 
-def _contained_labels(rep: PeriodicRep, container: Runs) -> list[int]:
-    # complete: a contained granule shares an instant with its container
-    return [
-        j for j in rep.labels_touching(container) if runs_within(rep.runs_of(j), container)
-    ]
+def _frame(g1: PeriodicRep, g2: PeriodicRep, max_period: int) -> tuple[int, int]:
+    # the common period, and the labels of g1 it spans
+    period = _cap(math.lcm(g1.period, g2.period), max_period)
+    return period, period * g1.step // g1.period
+
+
+def _walk(frame: PeriodicRep, source: PeriodicRep, period: int, touch: bool) -> Iterator:
+    """``(label, granule, found)`` for each ``frame`` label in ``lhat(period)``,
+    ``found`` being the ``source`` labels the granule contains (or, with
+    ``touch``, meets).  A granule's hull is shorter than ``period``, so a
+    source label found outside ``[1, period]`` also comes back, shifted by
+    whole periods, from another frame label of the walk; normalize_alignment
+    checks such duplicates against the (period, step) repetition and keeps one.
+    """
+    for i in frame.lhat(period):
+        granule = frame.runs_of(i)
+        found = source.labels_touching(granule)  # contained granules touch too
+        if not touch:
+            found = [j for j in found if runs_within(source.runs_of(j), granule)]
+        yield i, granule, found
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +231,9 @@ def convert_combine(
         return EmptyRep()
     _require_unbounded(container, "combine")
     _require_unbounded(pieces, "combine")
-    period = _cap(math.lcm(container.period, pieces.period), max_period)
-    step = period * container.step // container.period
-    piece_cover = set(pieces.lhat(period))
-    raw = {}
-    for i in container.lhat(period):
-        inside = _contained_labels(pieces, container.runs_of(i))
-        if any(j in piece_cover for j in inside):
-            raw[i] = join_runs(pieces.runs_of(j) for j in inside)
-    if not raw:
-        return EmptyRep()
+    period, step = _frame(container, pieces, max_period)
+    walk = _walk(container, pieces, period, False)
+    raw = {i: join_runs(map(pieces.runs_of, inside)) for i, _, inside in walk if inside}
     return normalize_alignment(raw, period, step)
 
 
@@ -239,23 +246,18 @@ def convert_anchored(
         raise ConversionError("anchor granularity is not a subgranularity of an empty filler")
     _require_full_integer(filler, "anchor")
     _require_unbounded(anchors, "anchor")
-    horizon = math.lcm(filler.period, anchors.period)
-    checked = anchors.lhat(horizon)
-    checked.append(anchors.next_label(checked[-1]))
-    for a in checked:
+    # a common period of anchor labels, plus the next one to end the last granule
+    labels = anchors.lhat(math.lcm(filler.period, anchors.period))
+    labels.append(anchors.next_label(labels[-1]))
+    for a in labels:
         if filler.runs_of(a) != anchors.runs_of(a):
             raise ConversionError(
                 f"anchor label {a} is not label-aligned with the filler granularity"
             )
-    period = _cap(horizon, max_period)
-    step = period * anchors.step // anchors.period
-    labels = anchors.lhat(period)
+    period, step = _frame(anchors, filler, max_period)
     if anchors.anchor_label != filler.anchor_label:
         labels.insert(0, anchors.prev_label(anchors.anchor_label))
-    raw = {}
-    for i in labels:
-        nxt = anchors.next_label(i)
-        raw[i] = filler.span(i, nxt - 1)
+    raw = {i: filler.span(i, nxt - 1) for i, nxt in zip(labels, labels[1:])}
     return normalize_alignment(raw, period, step)
 
 
@@ -278,28 +280,30 @@ def convert_subset(g: Rep, lo: int | None, hi: int | None) -> Rep:
     return PeriodicRep(g.period, g.step, g.explicit, (first, last))
 
 
-def _select_frame(g1: PeriodicRep, g2: PeriodicRep, max_period: int) -> tuple[int, int]:
-    period = _cap(math.lcm(g1.period, g2.period), max_period)
-    return period, period * g1.step // g1.period
+def _select(
+    source: Rep, frame: Rep, start: int, count: int, max_period: int, op: str, touch: bool
+) -> Rep:
+    # selectdown picks among the contained granules, selectintersect the touching ones
+    try:
+        delta_select((), start, count)
+    except ValueError as exc:
+        raise ConversionError(str(exc)) from None
+    if isinstance(source, EmptyRep) or isinstance(frame, EmptyRep):
+        return EmptyRep()
+    _require_unbounded(source, op)
+    _require_unbounded(frame, op)
+    period, step = _frame(source, frame, max_period)
+    kept: set[int] = set()
+    for _, _, found in _walk(frame, source, period, touch):
+        kept.update(delta_select(found, start, count))
+    return normalize_alignment({a: source.runs_of(a) for a in kept}, period, step)
 
 
 def convert_select_down(
     source: Rep, container: Rep, start: int, count: int,
     max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Rep:
-    if isinstance(source, EmptyRep) or isinstance(container, EmptyRep):
-        return EmptyRep()
-    _require_unbounded(source, "selectdown")
-    _require_unbounded(container, "selectdown")
-    period, step = _select_frame(source, container, max_period)
-    source_cover = set(source.lhat(period))
-    kept: set[int] = set()
-    for i in container.lhat(period):
-        inside = _contained_labels(source, container.runs_of(i))
-        kept.update(a for a in delta_select(inside, start, count) if a in source_cover)
-    if not kept:
-        return EmptyRep()
-    return normalize_alignment({a: source.runs_of(a) for a in kept}, period, step)
+    return _select(source, container, start, count, max_period, "selectdown", False)
 
 
 def convert_select_up(
@@ -309,14 +313,8 @@ def convert_select_up(
         return EmptyRep()
     _require_unbounded(source, "selectup")
     _require_unbounded(witness, "selectup")
-    period, step = _select_frame(source, witness, max_period)
-    raw = {}
-    for i in source.lhat(period):
-        granule = source.runs_of(i)
-        if _contained_labels(witness, granule):
-            raw[i] = granule
-    if not raw:
-        return EmptyRep()
+    period, step = _frame(source, witness, max_period)
+    raw = {i: granule for i, granule, inside in _walk(source, witness, period, False) if inside}
     return normalize_alignment(raw, period, step)
 
 
@@ -324,25 +322,16 @@ def convert_select_intersect(
     source: Rep, probe: Rep, start: int, count: int,
     max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Rep:
-    if isinstance(source, EmptyRep) or isinstance(probe, EmptyRep):
-        return EmptyRep()
-    _require_unbounded(source, "selectintersect")
-    _require_unbounded(probe, "selectintersect")
-    period, step = _select_frame(source, probe, max_period)
-    source_cover = set(source.lhat(period))
-    kept: set[int] = set()
-    for i in probe.lhat(period):
-        touching = source.labels_touching(probe.runs_of(i))
-        kept.update(a for a in delta_select(touching, start, count) if a in source_cover)
-    if not kept:
-        return EmptyRep()
-    return normalize_alignment({a: source.runs_of(a) for a in kept}, period, step)
+    return _select(source, probe, start, count, max_period, "selectintersect", True)
+
+
+_SET_OPS = {"union": set.union, "intersection": set.intersection, "difference": set.difference}
 
 
 def convert_set_op(
     left: Rep, right: Rep, which: str, max_period: int = DEFAULT_MAX_PERIOD
 ) -> Rep:
-    if which not in ("union", "intersection", "difference"):
+    if which not in _SET_OPS:
         raise ValueError(f"unknown set operation {which!r}")
     if isinstance(left, EmptyRep):
         return right if which == "union" else EmptyRep()
@@ -355,20 +344,16 @@ def convert_set_op(
             "set operation operands have different label densities "
             f"({left.step}/{left.period} vs {right.step}/{right.period})"
         )
-    period = _cap(math.lcm(left.period, right.period), max_period)
-    step = period * left.step // left.period
+    period, step = _frame(left, right, max_period)
     cover1 = left.lhat(period)
     cover2 = right.lhat(period)
     merged: dict[int, Runs] = {a: left.runs_of(a) for a in cover1}
     for a in cover2:
         g = right.runs_of(a)
-        if a in merged:
-            if merged[a] != g:
-                raise ConversionError(
-                    f"shared label {a} maps to different granules in the two operands"
-                )
-        else:
-            merged[a] = g
+        if merged.setdefault(a, g) != g:
+            raise ConversionError(
+                f"shared label {a} maps to different granules in the two operands"
+            )
     ordered = sorted(merged)
     for a, b in zip(ordered, ordered[1:]):
         if merged[a][-1][1] >= merged[b][0][0]:
@@ -378,15 +363,7 @@ def convert_set_op(
             )
     if merged[ordered[-1]][-1][1] >= merged[ordered[0]][0][0] + period:
         raise ConversionError("operand granules interleave across the period boundary")
-    set1, set2 = set(cover1), set(cover2)
-    if which == "union":
-        labels = set1 | set2
-    elif which == "intersection":
-        labels = set1 & set2
-    else:
-        labels = set1 - set2
-    if not labels:
-        return EmptyRep()
+    labels = _SET_OPS[which](set(cover1), cover2)
     return normalize_alignment({a: merged[a] for a in labels}, period, step)
 
 

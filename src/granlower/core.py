@@ -158,6 +158,8 @@ class PeriodicRep:
     Lowered representations are *aligned*: ``first_label`` is the label of
     the granule covering the smallest positive covered instant (see
     :meth:`is_canonical`).  Direct construction accepts any valid window.
+    After construction no attribute can be set or deleted, except that the
+    lazy caches ``_cover`` and ``_anchor`` are filled in once.
     """
 
     __slots__ = (
@@ -176,13 +178,13 @@ class PeriodicRep:
             raise GranularityError(f"period must be positive, got {period}")
         if step < 1:
             raise GranularityError(f"step must be positive, got {step}")
-        if not explicit:
-            raise GranularityError("explicit window is empty (use EmptyRep)")
         if isinstance(explicit, _Granules):
             runs = explicit._runs  # already canonical, and never mutated
         else:
             runs = {int(lab): _encode(g) for lab, g in explicit.items()}
             explicit = _Granules(runs)
+        if not runs:
+            raise GranularityError("explicit window is empty (use EmptyRep)")
         labels = sorted(runs)
         first = labels[0]
         if labels[-1] - first >= step:
@@ -205,6 +207,9 @@ class PeriodicRep:
                 bounds = None
             elif lo is not None and hi is not None and lo > hi:
                 raise GranularityError(f"bounds {bounds} are inverted")
+        # stored as an _Unsealed (from_runs builds one), whose slot stores skip __setattr__
+        if type(self) is PeriodicRep:
+            object.__setattr__(self, "__class__", _Unsealed)
         self.period = period
         self.step = step
         self._runs = runs
@@ -215,13 +220,22 @@ class PeriodicRep:
         self.labels = tuple(labels)  # labels of the explicit window, ascending
         self._cover: _CoverIndex | None = None
         self._anchor: int | None = None
+        self.__class__ = PeriodicRep
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name not in ("_cover", "_anchor"):
+            raise AttributeError(f"PeriodicRep is immutable; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PeriodicRep is immutable; cannot delete {name!r}")
 
     @staticmethod
     def from_runs(
         period: int, step: int, runs: dict[int, Runs], bounds: Bounds | None = None
     ) -> "PeriodicRep":
         """Build from canonical runs directly; the dict is kept, not copied."""
-        return PeriodicRep(period, step, _Granules(runs), bounds)
+        return _Unsealed(period, step, _Granules(runs), bounds)
 
     def unbounded(self) -> "PeriodicRep":
         """The unbounded core: the same granularity without subset bounds."""
@@ -455,6 +469,13 @@ class PeriodicRep:
             return PeriodicRep(_json_int(data["P"]), _json_int(data["N"]), explicit, bounds)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GranularityError(f"malformed representation: {exc!r}") from None
+
+
+class _Unsealed(PeriodicRep):
+    # a PeriodicRep while its constructor stores the fields
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 class EmptyRep:

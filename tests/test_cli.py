@@ -1,6 +1,10 @@
 import contextlib
 import json
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -330,6 +334,46 @@ def chain(op: str, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sparse_chain(last_prime: int) -> str:
+    """``i_p``: the days congruent to 1 modulo every prime up to ``p``, plus a
+    selectdown, a combine and a selectintersect over the last ``i_p``."""
+    primes = [p for p in range(2, last_prime + 1) if all(p % q for q in range(2, p))]
+    lines = ["calendar sparse bottom day;"]
+    for prev, p in zip([None] + primes, primes):
+        lines += [f"g{p} = group({p}, day);", f"s{p} = selectdown(1, 1, day, g{p});"]
+        lines.append(f"i{p} = intersect(i{prev}, s{p});" if prev else f"i{p} = s{p};")
+    last = f"i{primes[-1]}"
+    lines += [
+        f"t = selectdown(1, 1, day, {last});",
+        f"c = combine({last}, day);",
+        f"v = selectintersect(1, 1, day, {last});",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# Linux carries a process's peak RSS into the ru_maxrss of the children it
+# starts, so the command runs under this small helper instead of under the
+# test session, and the helper reports the command's own peak
+SPAWN = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "granlower.cli", *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss(*argv) -> tuple[int, str, int]:
+    """Exit code, standard output and peak RSS (KiB) of one CLI command in a fresh process."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    *out, report = proc.stdout.splitlines()
+    code, rss = map(int, report.split())
+    return code, "\n".join(out), rss
+
+
 def reference_reps(path, *flags):
     doc = parse_calendar(path.read_text())
     reps = cli._convert_all(
@@ -565,3 +609,20 @@ class TestDeepDefinitions:
         # a few tenths of a second on a 2-core machine; closed trees took
         # 2^n steps on the union chain and overflowed the stack on the shift chain
         assert elapsed < 20
+
+
+class TestSparseLcm:
+    """A selection or combine over an operand with one granule per common
+    period costs what that granule contains, not what the period holds."""
+
+    def test_cost_follows_the_frame(self, tmp_path):
+        path = tmp_path / "sparse.cal"
+        path.write_text(sparse_chain(17))  # P = 510,510
+        code, out, base = peak_rss("up", str(path), "i17", "--instant", "1")
+        assert (code, out) == (0, "1")
+        for name in ("t", "c", "v"):
+            code, out, rss = peak_rss("up", str(path), name, "--instant", "1")
+            assert (code, out) == (0, "1"), name
+            # 27 MB each on a 2-core machine; a label set of the common
+            # period would take 63 MB
+            assert rss <= 1.25 * base, (name, rss, base)

@@ -603,6 +603,30 @@ class TestConvertCalendar:
             convert_expression(rewrite_to_bottom(doc, "broken"))
         assert str(err.value) == str(closed.value)
 
+    @pytest.mark.parametrize("empty_source", [False, True])
+    @pytest.mark.parametrize(
+        "node, path, message",
+        [
+            (ast.SelectDown, ("selectdown",), "selection start must be nonzero"),
+            (ast.SelectIntersect, ("selectintersect",), "selection count must be positive"),
+        ],
+    )
+    def test_bad_selection_parameters(self, node, path, message, empty_source):
+        # a built document skips the parser's checks; an empty source must not
+        # hide them either
+        day = ast.Bottom()
+        source = ast.Difference(day, day) if empty_source else day
+        start, count = (0, 1) if node is ast.SelectDown else (1, 0)
+        doc = ast.CalendarDoc("c", "day", (
+            ("week", ast.Group(7, day)),
+            ("bad", node(start, count, source, ast.Name("week"))),
+        ))
+        with pytest.raises(ConversionError) as err:
+            convert_calendar(doc)
+        assert err.value.definition == "bad"
+        assert err.value.path == path
+        assert err.value.message == message
+
     def test_unknown_name(self):
         doc = parse_calendar("calendar c bottom day;\nweek = group(7, day);\n")
         with pytest.raises(KeyError):

@@ -256,6 +256,22 @@ class TestImmutable:
             del week_parts_rep.explicit[4]
         assert week_parts_rep.up(9) == 3 and week_parts_rep.expand(3) == tuple(range(8, 13))
 
+    @pytest.mark.parametrize(
+        "name", ["period", "step", "bounds", "labels", "explicit", "first_label", "_runs"]
+    )
+    def test_attributes_cannot_be_reassigned(self, week_parts_rep, name):
+        rep = week_parts_rep
+        assert rep.up(15) == 5  # builds the lazy cover index
+        before = getattr(rep, name)
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 14)
+        with pytest.raises(AttributeError):
+            delattr(rep, name)
+        assert getattr(rep, name) is before
+        assert rep.period == 7 and rep.step == 2 and rep.labels == (3, 4)
+        assert rep.up(15) == 5 and rep.up(22) == 7 and rep.expand(5) == tuple(range(15, 20))
+        assert rep.lhat(14) == [1, 2, 3, 4] and rep == PeriodicRep(7, 2, {3: range(8, 13), 4: (13, 14)})
+
     def test_repr_shows_plain_window(self, week_rep):
         assert repr(week_rep) == "PeriodicRep(period=7, step=1, explicit={1: (1, 2, 3, 4, 5, 6, 7)})"
 
