@@ -16,7 +16,7 @@ since bounds must stay out of all inner conversion math.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -24,24 +24,59 @@ from typing import Iterable
 # expression tree
 
 
-@dataclass(frozen=True)
-class Bottom:
+class _RecordType(type):
+    # a class of this type is a tuple of the fields it annotates, in order
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns.update({f: property(itemgetter(i)) for i, f in enumerate(fields)})
+        return super().__new__(mcls, name, bases, {**ns, "__slots__": (), "__match_args__": fields})
+
+
+class Record(tuple, metaclass=_RecordType):
+    """An immutable tuple of the fields its class annotates.  They read as
+    attributes, construct and match positionally or by name, and show in the
+    repr as ``Name(name='m')``.  Records of different classes never compare
+    equal, nor does a record equal a plain tuple; every record is truthy."""
+
+    def __new__(cls, *args, **kwargs):
+        args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args) :] if f in kwargs)
+        if kwargs or len(args) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
+        return tuple.__new__(cls, args)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self):
+        return True
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Bottom(Record):
     """Reference to the calendar's bottom granularity."""
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     size: int
     operand: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Alter:
+class Alter(Record):
     """Grow or shrink the ``slot``-th of every ``cycle`` granules of ``base``
     by ``change`` granules of ``unit``."""
 
@@ -52,30 +87,26 @@ class Alter:
     base: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(Record):
     offset: int
     operand: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Combine:
+class Combine(Record):
     """Merge the ``pieces`` granules lying inside each ``container`` granule."""
 
     container: "CalExpr"
     pieces: "CalExpr"
 
 
-@dataclass(frozen=True)
-class AnchoredGroup:
+class AnchoredGroup(Record):
     """Merge the ``filler`` granules between consecutive ``anchors`` granules."""
 
     filler: "CalExpr"
     anchors: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """Keep only labels in ``[lo, hi]``; ``None`` means unbounded on that side."""
 
     lo: int | None
@@ -83,8 +114,7 @@ class Subset:
     operand: "CalExpr"
 
 
-@dataclass(frozen=True)
-class SelectDown:
+class SelectDown(Record):
     """Positionally pick ``count`` of the ``source`` granules contained in each
     ``container`` granule, starting at position ``start`` (negative counts
     from the end)."""
@@ -95,16 +125,14 @@ class SelectDown:
     container: "CalExpr"
 
 
-@dataclass(frozen=True)
-class SelectUp:
+class SelectUp(Record):
     """Keep the ``source`` granules that contain at least one ``witness`` granule."""
 
     source: "CalExpr"
     witness: "CalExpr"
 
 
-@dataclass(frozen=True)
-class SelectIntersect:
+class SelectIntersect(Record):
     """Positionally pick among the ``source`` granules intersecting each
     ``probe`` granule."""
 
@@ -114,39 +142,24 @@ class SelectIntersect:
     probe: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Union:
+class Union(Record):
     left: "CalExpr"
     right: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(Record):
     left: "CalExpr"
     right: "CalExpr"
 
 
-@dataclass(frozen=True)
-class Difference:
+class Difference(Record):
     left: "CalExpr"
     right: "CalExpr"
 
 
 CalExpr = (
-    Bottom
-    | Name
-    | Group
-    | Alter
-    | Shift
-    | Combine
-    | AnchoredGroup
-    | Subset
-    | SelectDown
-    | SelectUp
-    | SelectIntersect
-    | Union
-    | Intersection
-    | Difference
+    Bottom | Name | Group | Alter | Shift | Combine | AnchoredGroup | Subset
+    | SelectDown | SelectUp | SelectIntersect | Union | Intersection | Difference
 )
 
 
@@ -174,22 +187,20 @@ OPERATORS: dict[str, tuple[type, tuple[tuple[str, ...], ...]]] = {
 _SIGNATURES = {cls: (word, kinds) for word, (cls, kinds) in OPERATORS.items()}
 
 
-def _split(expr: CalExpr) -> tuple[str, tuple, list, list[CalExpr]]:
+def _split(expr: CalExpr) -> tuple[str, tuple, tuple, tuple[CalExpr, ...]]:
     """An operator node's keyword, scalar kinds, scalar values and operands."""
     signature = _SIGNATURES.get(type(expr))
     if signature is None:
         raise TypeError(f"not a calendar expression: {expr!r}")
     word, kinds = signature
-    values = [getattr(expr, f) for f in expr.__match_args__]
-    return word, kinds, values[: len(kinds)], values[len(kinds) :]
+    return word, kinds, expr[: len(kinds)], expr[len(kinds) :]
 
 
 def children(expr: CalExpr) -> tuple[CalExpr, ...]:
-    return () if isinstance(expr, (Bottom, Name)) else tuple(_split(expr)[3])
+    return () if isinstance(expr, (Bottom, Name)) else _split(expr)[3]
 
 
-@dataclass(frozen=True)
-class CalendarDoc:
+class CalendarDoc(Record):
     """A named calendar: one bottom granularity and ordered definitions."""
 
     name: str
@@ -415,16 +426,17 @@ def print_calendar(doc: CalendarDoc) -> str:
 # static validation
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     definition: str
     rule: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...] = ()
+class ValidationReport(Record):
+    findings: tuple[Finding, ...]
+
+    def __new__(cls, findings: tuple[Finding, ...] = ()):
+        return tuple.__new__(cls, (findings,))
 
     @property
     def ok(self) -> bool:

@@ -12,9 +12,10 @@ Commands
 ``granlower verify FILE [--window W] [--seed S]``
     Check every definition against the brute-force evaluator.
 
-Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 conversion precondition,
-4 verification mismatch.  The environment variable ``GRANLOWER_MAX_PERIOD``
-(default 10**9) caps result periods so pathological lcm blowups fail fast.
+Exit codes: 0 ok, 1 usage or output pipe closed by its reader, 2
+parse/validation, 3 conversion precondition, 4 verification mismatch.  The
+environment variable ``GRANLOWER_MAX_PERIOD`` (default 10**9) caps result
+periods so pathological lcm blowups fail fast.
 """
 
 from __future__ import annotations
@@ -349,9 +350,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except BrokenPipeError:  # the reader left (say, `| head`); exit's flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ a calendar one definition at a time, resolving names through that cache.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import algebra as ast
@@ -149,6 +148,16 @@ def convert_group(g: Rep, size: int, max_period: int = DEFAULT_MAX_PERIOD) -> Re
     return normalize_alignment(raw, period, step)
 
 
+def _alter_period(step: int, p1: int, n1: int, p2: int, n2: int, change: int, cycle: int) -> int:
+    """``step * (p1/n1 + change*p2/(cycle*n2))``, which must be a positive integer."""
+    num, den = step * (p1 * cycle * n2 + change * p2 * n1), n1 * cycle * n2
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den != 1 or num < 1:
+        raise ConversionError(f"alter produced an invalid period {num if den == 1 else f'{num}/{den}'}")
+    return num
+
+
 def convert_alter(
     unit: Rep,
     base: Rep,
@@ -185,12 +194,7 @@ def convert_alter(
         p2 * n1 // math.gcd(p2 * n1, p1),
         n2 * cycle // math.gcd(n2 * cycle, abs(change)),
     )
-    period_frac = (
-        Fraction(step * p1 * n2, n1 * p2) + Fraction(step * change, cycle)
-    ) * Fraction(p2, n2)
-    if period_frac.denominator != 1 or period_frac < 1:
-        raise ConversionError(f"alter produced an invalid period {period_frac}")
-    period = _cap(int(period_frac), max_period)
+    period = _cap(_alter_period(step, p1, n1, p2, n2, change, cycle), max_period)
     # the table's first rows are the base labels l0, l0 + 1, ... of one
     # horizon; base label i + rows is label i shifted by the horizon, which
     # moves its unit labels by `advance`

@@ -13,7 +13,6 @@ score granules that are trusted and fully inside the interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import algebra as ast
@@ -28,8 +27,7 @@ class OracleError(Exception):
     """The definitional semantics are violated on fully visible data."""
 
 
-@dataclass
-class WindowEval:
+class WindowEval(ast.Record):
     """Materialized granules of one expression over ``[lo, hi]``."""
 
     lo: int

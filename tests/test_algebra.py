@@ -310,3 +310,153 @@ class TestRewrite:
         assert eval_window(closed, -20, 41, guard=0).granules == (
             eval_window(manual, -20, 41, guard=0).granules
         )
+
+
+# one node of each class, and its repr and field names as the frozen
+# dataclasses the nodes once were printed them
+_B, _M = ast.Bottom(), ast.Name("m")
+NODES = [
+    (_B, (), "Bottom()"),
+    (_M, ("name",), "Name(name='m')"),
+    (ast.Group(7, _B), ("size", "operand"), "Group(size=7, operand=Bottom())"),
+    (
+        ast.Alter(1, -1, 4, _B, _M),
+        ("slot", "change", "cycle", "unit", "base"),
+        "Alter(slot=1, change=-1, cycle=4, unit=Bottom(), base=Name(name='m'))",
+    ),
+    (ast.Shift(-3, _M), ("offset", "operand"), "Shift(offset=-3, operand=Name(name='m'))"),
+    (
+        ast.Combine(_M, _B),
+        ("container", "pieces"),
+        "Combine(container=Name(name='m'), pieces=Bottom())",
+    ),
+    (
+        ast.AnchoredGroup(_B, _M),
+        ("filler", "anchors"),
+        "AnchoredGroup(filler=Bottom(), anchors=Name(name='m'))",
+    ),
+    (
+        ast.Subset(None, 5, _M),
+        ("lo", "hi", "operand"),
+        "Subset(lo=None, hi=5, operand=Name(name='m'))",
+    ),
+    (
+        ast.SelectDown(-1, 2, _B, _M),
+        ("start", "count", "source", "container"),
+        "SelectDown(start=-1, count=2, source=Bottom(), container=Name(name='m'))",
+    ),
+    (
+        ast.SelectUp(_B, _M),
+        ("source", "witness"),
+        "SelectUp(source=Bottom(), witness=Name(name='m'))",
+    ),
+    (
+        ast.SelectIntersect(1, 1, _B, _M),
+        ("start", "count", "source", "probe"),
+        "SelectIntersect(start=1, count=1, source=Bottom(), probe=Name(name='m'))",
+    ),
+    (ast.Union(_B, _M), ("left", "right"), "Union(left=Bottom(), right=Name(name='m'))"),
+    (
+        ast.Intersection(_M, _B),
+        ("left", "right"),
+        "Intersection(left=Name(name='m'), right=Bottom())",
+    ),
+    (
+        ast.Difference(_M, _M),
+        ("left", "right"),
+        "Difference(left=Name(name='m'), right=Name(name='m'))",
+    ),
+]
+NODE_IDS = [type(node).__name__ for node, _, _ in NODES]
+
+
+class TestNodeValues:
+    """Syntax nodes and the other records are immutable values: equal when
+    their class and fields are, hashable, truthy and printed field by field."""
+
+    @pytest.mark.parametrize("node, fields, text", NODES, ids=NODE_IDS)
+    def test_fields_and_repr(self, node, fields, text):
+        assert type(node).__match_args__ == fields
+        assert repr(node) == text
+        assert [getattr(node, f) for f in fields] == list(node)
+
+    @pytest.mark.parametrize("node, fields, text", NODES, ids=NODE_IDS)
+    def test_equal_copies_hash_alike(self, node, fields, text):
+        copy = type(node)(*(getattr(node, f) for f in fields))
+        assert copy == node and not copy != node and copy is not node
+        assert hash(copy) == hash(node)
+        assert {node: 1}[copy] == 1
+        assert eval(text, vars(ast)) == node
+
+    def test_classes_never_compare_equal(self):
+        nodes = [node for node, _, _ in NODES]
+        nodes += [ast.Union(_M, _B), ast.Intersection(_B, _M), ast.Difference(_B, _M)]
+        for a in nodes:
+            for b in nodes:
+                assert (a == b) == (a is b)
+                assert (a != b) == (a is not b)
+        # same fields, different operator
+        assert ast.Union(_B, _M) != ast.Intersection(_B, _M)
+        assert len({ast.Union(_B, _M), ast.Intersection(_B, _M), ast.Difference(_B, _M)}) == 3
+
+    @pytest.mark.parametrize("node, fields, text", NODES, ids=NODE_IDS)
+    def test_never_equal_to_a_tuple(self, node, fields, text):
+        plain = tuple(getattr(node, f) for f in fields)
+        assert node != plain and plain != node
+        assert not node == plain and not plain == node
+
+    @pytest.mark.parametrize("node, fields, text", NODES, ids=NODE_IDS)
+    def test_truthy(self, node, fields, text):
+        assert node
+
+    @pytest.mark.parametrize("node, fields, text", NODES, ids=NODE_IDS)
+    def test_immutable(self, node, fields, text):
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.__dict__
+
+    def test_wrong_field_count_rejected(self):
+        with pytest.raises(TypeError):
+            ast.Group(7)
+        with pytest.raises(TypeError):
+            ast.Shift(1, _B, _B)
+        with pytest.raises(TypeError):
+            ast.Shift(1, operand=_B, extra=2)
+
+    def test_copy_and_pickle_round_trip(self):
+        import copy
+        import pickle
+
+        for node, _, _ in NODES:
+            assert copy.deepcopy(node) == node
+            assert pickle.loads(pickle.dumps(node)) == node
+
+    def test_other_records(self):
+        doc = CalendarDoc("c", "day", (("w", ast.Group(7, _B)),))
+        assert repr(doc) == (
+            "CalendarDoc(name='c', bottom='day', "
+            "definitions=(('w', Group(size=7, operand=Bottom())),))"
+        )
+        assert doc.names == ("w",)
+        report = ast.ValidationReport()
+        assert report.ok and report.findings == () and str(report) == "ok"
+        assert repr(report) == "ValidationReport(findings=())"
+        finding = ast.Finding("x", "rule", "message")
+        assert repr(finding) == "Finding(definition='x', rule='rule', message='message')"
+        assert not ast.ValidationReport((finding,)).ok
+
+    def test_window_eval_keywords(self):
+        from granlower.oracle import WindowEval
+
+        fields = dict(lo=1, hi=3, granules={1: (1,)}, trusted=frozenset({1}), interior=(1, 3))
+        window = WindowEval(**fields)
+        assert window == WindowEval(**fields) == WindowEval(*fields.values())
+        assert window != WindowEval(**{**fields, "hi": 4})
+        assert window.granules == {1: (1,)} and window.interior == (1, 3)
+        assert repr(window) == (
+            "WindowEval(lo=1, hi=3, granules={1: (1,)}, trusted=frozenset({1}), interior=(1, 3))"
+        )

@@ -626,3 +626,49 @@ class TestSparseLcm:
             # 27 MB each on a 2-core machine; a label set of the common
             # period would take 63 MB
             assert rss <= 1.25 * base, (name, rss, base)
+
+
+def spawn_cli(*argv) -> subprocess.Popen:
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "granlower.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+class TestClosedPipe:
+    """A reader that stops early, as ``| head`` does, ends the command with
+    exit code 1 and an empty stderr: no ``BrokenPipeError`` traceback and
+    no "Exception ignored" line from the flush at exit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["convert", "gregorian.cal"], ["expand", "basic.cal", "week", "--labels", "1..999999"]],
+        ids=["convert", "expand"],
+    )
+    def test_reader_closes_after_first_line(self, fixtures_dir, argv):
+        argv = [str(fixtures_dir / a) if a.endswith(".cal") else a for a in argv]
+        proc = spawn_cli(*argv)
+        with deadline(60):
+            first = proc.stdout.readline()
+            proc.stdout.close()  # both commands write far more than a pipe holds
+            err = proc.stderr.read()
+            code = proc.wait()
+        assert first.strip()
+        assert err == b""
+        assert code == 1
+
+
+class TestStartup:
+    def test_cli_import_stays_lean(self):
+        # each CLI command pays for its imports; these stdlib modules cost
+        # milliseconds per start and granlower needs none of them
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, granlower.cli; print(*sys.modules)"],
+            capture_output=True, text=True, timeout=60, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        loaded = set(proc.stdout.split())
+        assert "granlower.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal"})

@@ -1,10 +1,12 @@
 """Per-operation conversion tests over small hand-built configurations with
 independently worked-out expected values, plus identity and failure cases."""
 
+import math
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granlower import algebra as ast
@@ -126,6 +128,36 @@ class TestAlter:
         month30 = convert_group(day_rep, 30)
         with pytest.raises(ConversionError, match="partition"):
             convert_alter(week_rep, month30, 1, 1, 2)
+
+    @given(
+        p1=st.integers(1, 60), n1=st.integers(1, 12), p2=st.integers(1, 60),
+        n2=st.integers(1, 12), change=st.integers(-30, 30), cycle=st.integers(1, 24),
+        k=st.integers(1, 3), lcm_step=st.booleans(),
+    )
+    # a zero period and a negative one
+    @example(p1=2, n1=1, p2=1, n2=1, change=-2, cycle=1, k=1, lcm_step=True)
+    @example(p1=1, n1=1, p2=3, n2=1, change=-1, cycle=1, k=1, lcm_step=True)
+    def test_period_matches_fraction_formula(self, p1, n1, p2, n2, change, cycle, k, lcm_step):
+        # the period in integers, against the rational formula it replaced;
+        # convert_alter's own step makes it an integer, other steps need not
+        step = k * (
+            math.lcm(
+                n1, cycle, p2 * n1 // math.gcd(p2 * n1, p1),
+                n2 * cycle // math.gcd(n2 * cycle, abs(change)),
+            )
+            if lcm_step
+            else 5
+        )
+        exact = (
+            Fraction(step * p1 * n2, n1 * p2) + Fraction(step * change, cycle)
+        ) * Fraction(p2, n2)
+        args = (step, p1, n1, p2, n2, change, cycle)
+        if exact.denominator == 1 and exact >= 1:
+            assert convert._alter_period(*args) == exact
+        else:
+            with pytest.raises(ConversionError) as info:
+                convert._alter_period(*args)
+            assert str(info.value) == f"alter produced an invalid period {exact}"
 
 
 def alter_reference(unit, base, slot, change, cycle, label):
