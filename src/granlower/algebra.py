@@ -33,13 +33,13 @@ class _RecordType(type):
 
 
 class Record(tuple, metaclass=_RecordType):
-    """An immutable tuple of the fields its class annotates.  They read as
-    attributes, construct and match positionally or by name, and show in the
-    repr as ``Name(name='m')``.  Records of different classes never compare
-    equal, nor does a record equal a plain tuple; every record is truthy."""
+    """An immutable tuple of the fields its class annotates, in order, which
+    read as attributes and may be passed by name; records of different classes
+    never compare equal, nor does a record equal a plain tuple, and all are truthy."""
 
     def __new__(cls, *args, **kwargs):
-        args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args) :] if f in kwargs)
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args) :] if f in kwargs)
         if kwargs or len(args) != len(cls.__match_args__):
             raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
         return tuple.__new__(cls, args)

@@ -312,8 +312,8 @@ class TestRewrite:
         )
 
 
-# one node of each class, and its repr and field names as the frozen
-# dataclasses the nodes once were printed them
+# one node of each class with its field names and repr; the reprs are those
+# earlier versions printed, and callers may have recorded them
 _B, _M = ast.Bottom(), ast.Name("m")
 NODES = [
     (_B, (), "Bottom()"),
