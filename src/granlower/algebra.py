@@ -16,8 +16,8 @@ since bounds must stay out of all inner conversion math.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from operator import itemgetter
-from typing import Iterable
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,11 @@ class _Parser:
 
 def parse_calendar(text: str) -> CalendarDoc:
     """Parse calendar source text; raises :class:`CalendarSyntaxError` with position."""
-    return _Parser(text).document()
+    parser = _Parser(text)
+    try:
+        return parser.document()
+    except RecursionError:  # the parser recurses once per nesting level
+        raise parser.error("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
-import random
 import sys
 
 from . import algebra as ast
@@ -37,7 +35,7 @@ from .algebra import (
     rewrite_to_bottom,
     validate,
 )
-from .convert import ConversionError, convert_calendar, gstp_relabel
+from .convert import DEFAULT_MAX_PERIOD, ConversionError, convert_calendar, gstp_relabel
 from .core import EmptyRep, PeriodicRep, Rep
 from .oracle import Definitions, verify_against_oracle
 
@@ -58,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 def _max_period() -> int:
     raw = os.environ.get("GRANLOWER_MAX_PERIOD")
     if not raw:
-        return 10**9
+        return DEFAULT_MAX_PERIOD
     try:
         value = int(raw)
         if value < 1:
@@ -88,17 +86,16 @@ def _load(path: str):
     return doc
 
 
-def _convert_all(doc, names, minimize: bool, gstp: bool, max_period: int | None = None):
-    # GRANLOWER_MAX_PERIOD (the default cap) is read only once every name is
-    # known, so an unknown name is the error reported; convert_calendar needs
-    # the cap before it can raise its KeyError
+def _convert_all(doc, names, minimize: bool, gstp: bool):
+    # GRANLOWER_MAX_PERIOD is read only once every name is known, so an
+    # unknown name is the error reported; convert_calendar needs the cap
+    # before it can raise its KeyError
     unknown = set(names) - {doc.bottom, *doc.names}
     if unknown:
         print(f"granlower: no definition named {min(unknown)!r}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    cap = _max_period() if max_period is None else max_period
     try:
-        reps = convert_calendar(doc, names, minimize=minimize, max_period=cap)
+        reps = convert_calendar(doc, names, minimize=minimize, max_period=_max_period())
         for name in reps if gstp else ():
             reps[name] = gstp_relabel(reps[name])
     except ConversionError as exc:
@@ -198,13 +195,15 @@ def _render_json(doc, reps, out) -> None:
     writes whole granules in batches of about ``_BATCH_CHARS``, so a pipe
     stays fast and memory stays bounded by the largest granule.
     """
-    head = f'{{\n  "calendar": {json.dumps(doc.name)},\n  "bottom": {json.dumps(doc.bottom)},\n'
+    # the parser admits only [A-Za-z_][A-Za-z0-9_-]* as a name, which JSON
+    # quotes as it stands
+    head = f'{{\n  "calendar": "{doc.name}",\n  "bottom": "{doc.bottom}",\n'
     if not reps:
         out.write(head + '  "granularities": []\n}\n')
         return
     batch, size = [head, '  "granularities": ['], 0
     for i, (name, rep) in enumerate(reps):
-        batch.append(f'{"," if i else ""}\n    {{\n      "name": {json.dumps(name)},\n      "rep": {{\n')
+        batch.append(f'{"," if i else ""}\n    {{\n      "name": "{name}",\n      "rep": {{\n')
         if isinstance(rep, EmptyRep):
             batch.append('        "empty": true\n      }\n    }')
             continue
@@ -279,6 +278,8 @@ def _spot_check(rep: Rep, rng: random.Random, lo: int, hi: int) -> str | None:
 
 
 def cmd_verify(args) -> int:
+    import random  # here, so the other commands do not load it
+
     doc = _load(args.file)
     reps = _convert_all(doc, list(doc.names), True, False)
     periods = [r.period for _, r in reps if isinstance(r, PeriodicRep)]

@@ -16,7 +16,7 @@ a calendar one definition at a time, resolving names through that cache.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import algebra as ast
 from .core import (
@@ -28,12 +28,9 @@ from .core import (
     consecutive_spans,
     join_runs,
     mindist,  # no longer called here; kept for callers that look it up here
+    normalize_alignment,
     runs_within,
 )
-
-# the converters build granules as runs; the re-anchoring step keeps the
-# name normalize_alignment here, where callers and wrappers look it up
-from .core import normalize_runs as normalize_alignment
 from .minimize import minimize as minimize_rep
 
 DEFAULT_MAX_PERIOD = 10**9
@@ -365,8 +362,6 @@ def convert_set_op(
                 f"granules of labels {a} and {b} interleave; the operands are not "
                 "label-aligned subgranularities of one granularity"
             )
-    if merged[ordered[-1]][-1][1] >= merged[ordered[0]][0][0] + period:
-        raise ConversionError("operand granules interleave across the period boundary")
     labels = _SET_OPS[which](set(cover1), cover2)
     return normalize_alignment({a: merged[a] for a in labels}, period, step)
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
 
 Granule = tuple[int, ...]
 Runs = tuple[tuple[int, int], ...]
@@ -62,6 +62,12 @@ def join_runs(granules: Iterable[Runs]) -> Runs:
         else:
             out.append((s, e))
     return tuple(out)
+
+
+def _shifts(first: int, last: int, lo: int, hi: int, period: int) -> range:
+    # the s for which [first, last] + s * period meets [lo, hi]; with first
+    # and last swapped, the s for which it lies inside [lo, hi]
+    return range(_ceil_div(lo - last, period), (hi - first) // period + 1)
 
 
 def shift_runs(runs: Runs, delta: int) -> Runs:
@@ -303,9 +309,7 @@ class PeriodicRep:
             entries = []
             p = self.period
             for a, runs in self._runs.items():
-                s_lo = _ceil_div(1 - runs[-1][1], p)
-                s_hi = (p - runs[0][0]) // p
-                for s in range(s_lo, s_hi + 1):
+                for s in _shifts(runs[0][0], runs[-1][1], 1, p, p):
                     shift = s * p
                     label = a + s * self.step
                     for x, y in runs:
@@ -378,25 +382,20 @@ class PeriodicRep:
             raise GranularityError(
                 f"horizon {horizon} is not a positive multiple of period {self.period}"
             )
-        out = []
-        for a, runs in self._runs.items():
-            s_lo = _ceil_div(1 - runs[-1][1], self.period)
-            s_hi = (horizon - runs[0][0]) // self.period
-            out.extend(a + s * self.step for s in range(s_lo, s_hi + 1))
-        return sorted(out)
+        return sorted(
+            a + s * self.step
+            for a, runs in self._runs.items()
+            for s in _shifts(runs[0][0], runs[-1][1], 1, horizon, self.period)
+        )
 
     def labels_within(self, lo: int, hi: int) -> list[int]:
         """Labels whose non-empty granules lie entirely inside ``[lo, hi]``."""
-        out = []
-        for a, runs in self._runs.items():
-            s_lo = _ceil_div(lo - runs[0][0], self.period)
-            s_hi = (hi - runs[-1][1]) // self.period
-            out.extend(
-                a + s * self.step
-                for s in range(s_lo, s_hi + 1)
-                if self._in_bounds(a + s * self.step)
-            )
-        return sorted(out)
+        labels = (
+            a + s * self.step
+            for a, runs in self._runs.items()
+            for s in _shifts(runs[-1][1], runs[0][0], lo, hi, self.period)
+        )
+        return sorted(filter(self._in_bounds, labels))
 
     @property
     def anchor_label(self) -> int:
@@ -535,13 +534,16 @@ def _anchor_label(granules: Iterable[tuple[int, Runs]], period: int, step: int) 
     return best[1]
 
 
-def normalize_runs(
-    granules: Mapping[int, Runs],
-    period: int,
-    step: int,
-    bounds: Bounds | None = None,
-) -> Rep:
-    """:func:`normalize_alignment` for granules already given as canonical runs."""
+def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) -> Rep:
+    """Re-anchor raw labeled granules into a canonical :class:`PeriodicRep`.
+
+    Each granule is given as canonical runs.  The input may place its
+    explicit granules at any labels, as long as every populated residue class
+    modulo ``step`` appears at least once; duplicate representatives must be
+    consistent with the stated periodicity.  The result's window starts at
+    the label of the granule covering the smallest positive covered instant.
+    An empty input yields :class:`EmptyRep`.
+    """
     families: dict[int, tuple[int, Runs]] = {}
     for lab in sorted(lab for lab, g in granules.items() if g):
         g = granules[lab]
@@ -566,25 +568,7 @@ def normalize_runs(
         if new_label < anchor:
             raise GranularityError("incomplete period window")  # unreachable for sane input
         explicit[new_label] = shift_runs(g, s * period) if s else g
-    return PeriodicRep.from_runs(period, step, explicit, bounds)
-
-
-def normalize_alignment(
-    granules: Mapping[int, Iterable[int]],
-    period: int,
-    step: int,
-    bounds: Bounds | None = None,
-) -> Rep:
-    """Re-anchor raw labeled granules into a canonical :class:`PeriodicRep`.
-
-    The input may place its explicit granules at any labels, as long as every
-    populated residue class modulo ``step`` appears at least once; duplicate
-    representatives must be consistent with the stated periodicity.  The
-    result's window starts at the label of the granule covering the smallest
-    positive covered instant.  An empty input yields :class:`EmptyRep`.
-    """
-    cleaned = {int(lab): _encode(g) for lab, g in granules.items() if g}
-    return normalize_runs(cleaned, period, step, bounds)
+    return PeriodicRep.from_runs(period, step, explicit)
 
 
 def up_label(g: Rep, h: Rep, label: int) -> int | None:

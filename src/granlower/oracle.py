@@ -13,7 +13,7 @@ score granules that are trusted and fully inside the interior.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import algebra as ast
 from .core import Rep
@@ -331,10 +331,8 @@ def eval_window(
     if guard < 0 or hi - lo + 1 <= 2 * guard:
         raise ValueError(f"window [{lo}, {hi}] is too small for guard {guard}")
     if definitions is None:
-        bottom, bound = _bottom_map(lo, hi), {}
-    else:
-        bottom, bound = definitions.bottom(lo, hi), definitions.bound(expr, lo, hi)
-    evaluated = _eval(expr, bottom, bound)
+        definitions = Definitions(())
+    evaluated = _eval(expr, definitions.bottom(lo, hi), definitions.bound(expr, lo, hi))
     return WindowEval(
         lo=lo,
         hi=hi,
@@ -374,7 +372,6 @@ def verify_against_oracle(
     expr: ast.CalExpr,
     rep: Rep,
     period: int,
-    attempts: int = 4,
     definitions: Definitions | None = None,
 ) -> list[str]:
     """Score ``rep`` against oracle windows whose interior is ``[1, period]``.
@@ -386,18 +383,16 @@ def verify_against_oracle(
     Deeply nested expressions can out-reach any fixed guard: every level of
     anchoring or selection consults one neighbor beyond its operand's horizon.
     When the only complaints are granules the oracle could not materialize,
-    the guard doubles and the comparison reruns; content disagreements and
-    granules still missing at the widest window are reported as mismatches.
+    the guard doubles and the comparison reruns, over at most four windows;
+    content disagreements and granules still missing at the widest window are
+    reported as mismatches.
     """
-    issues: list[str] = []
-    factor = 1
-    for _ in range(max(attempts, 1)):
-        guard = period * factor + 8 * factor
+    for factor in (1, 2, 4, 8):
+        guard = (period + 8) * factor
         window = eval_window(
             expr, 1 - guard, period + guard, guard=guard, definitions=definitions
         )
         issues = compare_with_periodic(window, rep)
         if not issues or not all("missing from oracle" in line for line in issues):
             return issues
-        factor *= 2
     return issues

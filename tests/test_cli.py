@@ -376,9 +376,7 @@ def peak_rss(*argv) -> tuple[int, str, int]:
 
 def reference_reps(path, *flags):
     doc = parse_calendar(path.read_text())
-    reps = cli._convert_all(
-        doc, list(doc.names), "--no-minimize" not in flags, "--gstp" in flags, 10**9
-    )
+    reps = cli._convert_all(doc, list(doc.names), "--no-minimize" not in flags, "--gstp" in flags)
     return doc, reps
 
 
@@ -611,6 +609,30 @@ class TestDeepDefinitions:
         assert elapsed < 20
 
 
+    @pytest.mark.parametrize("command", ["convert", "verify"])
+    def test_nesting_past_the_recursion_limit_exits_2(self, capsys, tmp_path, command):
+        # the parser recurses once per nesting level; past the interpreter's
+        # limit the definition is a syntax error at the token reached
+        path = tmp_path / "nested.cal"
+        path.write_text(nested_shifts(600))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}:2:") and err.endswith(": expression nested too deeply\n")
+
+    def test_deep_nesting_converts(self, capsys, tmp_path):
+        path = tmp_path / "nested.cal"
+        path.write_text(nested_shifts(300))
+        code, out, err = run(capsys, "convert", str(path))
+        assert code == 0, err
+        (entry,) = json.loads(out)["granularities"]
+        assert entry["rep"]["labels"] == [{"label": 301, "bottoms": [1]}]
+
+
+def nested_shifts(n: int) -> str:
+    """One definition, ``shift(1, ...)`` nested ``n`` deep around the bottom."""
+    return "calendar nested bottom day;\nx = " + "shift(1, " * n + "day" + ")" * n + ";\n"
+
+
 class TestSparseLcm:
     """A selection or combine over an operand with one granule per common
     period costs what that granule contains, not what the period holds."""
@@ -671,4 +693,6 @@ class TestStartup:
         )
         loaded = set(proc.stdout.split())
         assert "granlower.cli" in loaded
-        assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal"})
+        assert loaded.isdisjoint(
+            {"dataclasses", "inspect", "fractions", "decimal", "json", "random", "typing"}
+        )

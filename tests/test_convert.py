@@ -35,6 +35,7 @@ from granlower.core import EmptyRep, PeriodicRep, mindist, normalize_alignment
 from granlower.minimize import minimize
 
 from .test_cli import FAILING, chain, deadline
+from .test_runs import runs_from
 
 
 def expansion_equal(a, b, labels):
@@ -114,6 +115,9 @@ class TestAlter:
         out = convert_alter(day_rep, month30, 3, 1, 12)
         assert len(out.expand(3)) == 31 and len(out.expand(2)) == 30
         assert out.period == 361
+
+    def test_empty_base_is_empty(self, day_rep):
+        assert convert_alter(day_rep, EmptyRep(), 1, 1, 2) == EmptyRep()
 
     def test_change_zero_is_legal(self, week_rep):
         out = convert_alter(BOTTOM_REP, week_rep, 1, 0, 3)
@@ -234,8 +238,10 @@ class TestAlterTable:
              "between two granules of the coarser operand (at alter)"),
             ("x = alter(1, -6, 2, day, week);",
              "alter change -6 must exceed -(mindist-1) = -6 (at alter)"),
+            ("x = alter(1, 1, 2, difference(day, day), week);",
+             "alter unit is empty and cannot partition the base (at alter)"),
         ],
-        ids=["not_covered", "not_consecutive", "unit_between", "mindist"],
+        ids=["not_covered", "not_consecutive", "unit_between", "mindist", "empty_unit"],
     )
     def test_messages(self, body, message):
         doc = parse_calendar(
@@ -267,7 +273,7 @@ class TestAlterTable:
         offset = data.draw(st.integers(-5, 5))
         window, at = {}, offset
         for label, n in enumerate(lengths, start=data.draw(st.integers(-3, 3))):
-            window[label] = tuple(range(at, at + n))
+            window[label] = ((at, at + n - 1),)
             at += n
         unit = normalize_alignment(window, sum(lengths), len(lengths))
         repeats = data.draw(st.integers(1, 3))
@@ -276,7 +282,7 @@ class TestAlterTable:
         bounds = [0, *cuts, units]
         first = unit.first_label
         groups = {
-            k: tuple(x for j in range(first + lo, first + hi) for x in unit.expand(j))
+            k: runs_from(x for j in range(first + lo, first + hi) for x in unit.expand(j))
             for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         }
         base = minimize(normalize_alignment(groups, unit.period * repeats, len(groups)))
@@ -504,10 +510,42 @@ class TestSetOps:
         with pytest.raises(ConversionError, match="interleave"):
             convert_set_op(a, b, "union")
 
+    def test_granule_straddling_instant_one(self):
+        # the US week's granule -3..3 and its copy 4..10 both meet [1, 7]
+        us_week = PeriodicRep(7, 7, {-3: tuple(range(-3, 4))})
+        assert convert_set_op(us_week, us_week, "union") == us_week
+        assert convert_set_op(us_week, us_week, "intersection") == us_week
+        assert convert_set_op(us_week, us_week, "difference") == EmptyRep()
+
     def test_empty_identities(self, week_rep):
         assert convert_set_op(EmptyRep(), week_rep, "union") == week_rep
         assert convert_set_op(week_rep, EmptyRep(), "difference") == week_rep
         assert convert_set_op(week_rep, EmptyRep(), "intersection") == EmptyRep()
+
+
+class TestPreconditions:
+    """Operand checks the parser or ``validate`` already rules out in calendar
+    text, reached by calling the converters directly."""
+
+    @pytest.mark.parametrize(
+        "convert_with, message",
+        [
+            (lambda w: convert_group(w, 0), "group size must be positive, got 0"),
+            (lambda w: convert_alter(BOTTOM_REP, w, 0, 1, 2), "alter needs 1 <= slot <= cycle, got 0, 2"),
+            (lambda w: convert_alter(BOTTOM_REP, w, 3, 1, 2), "alter needs 1 <= slot <= cycle, got 3, 2"),
+            (lambda w: convert_anchored(EmptyRep(), w),
+             "anchor granularity is not a subgranularity of an empty filler"),
+            (lambda w: convert_group(convert_subset(w, 1, 5), 2), "operand of group carries subset bounds"),
+            (lambda w: convert_set_op(w, convert_subset(w, None, 5), "union"),
+             "operand of union carries subset bounds"),
+        ],
+        ids=["group_size", "alter_slot_low", "alter_slot_high", "empty_filler", "bounded_group",
+             "bounded_union"],
+    )
+    def test_rejected(self, week_rep, convert_with, message):
+        with pytest.raises(ConversionError) as err:
+            convert_with(week_rep)
+        assert str(err.value) == message
 
 
 class TestRelabel:

@@ -12,6 +12,8 @@ from granlower.core import (
     up_label,
 )
 
+from .test_runs import runs_from
+
 
 @st.composite
 def periodic_reps(draw):
@@ -29,7 +31,7 @@ def periodic_reps(draw):
         chunks.append(tuple(covered[prev:c]))
         prev = c
     step = draw(st.integers(r, r + 3))
-    rep = normalize_alignment({i + 1: chunk for i, chunk in enumerate(chunks)}, period, step)
+    rep = normalize_alignment({i + 1: runs_from(chunk) for i, chunk in enumerate(chunks)}, period, step)
     assert isinstance(rep, PeriodicRep)
     return rep
 
@@ -160,17 +162,17 @@ class TestMindist:
 
 class TestNormalize:
     def test_reanchors_to_first_positive_instant(self):
-        raw = {40 + i: tuple(range(7 * i + 1, 7 * i + 8)) for i in range(3)}
+        raw = {40 + i: ((7 * i + 1, 7 * i + 7),) for i in range(3)}
         rep = normalize_alignment(raw, 7, 1)
         assert rep.first_label == 40 and rep.labels == (40,)
         assert rep.expand(40) == tuple(range(1, 8))
 
     def test_idempotent_on_aligned(self, week_rep):
-        assert normalize_alignment(week_rep.explicit, 7, 1) == week_rep
+        assert normalize_alignment({1: week_rep.runs_of(1)}, 7, 1) == week_rep
 
     def test_inconsistent_duplicates_rejected(self):
         with pytest.raises(GranularityError):
-            normalize_alignment({1: (1, 2), 3: (4, 5)}, 4, 2)
+            normalize_alignment({1: ((1, 2),), 3: ((4, 5),)}, 4, 2)
 
     def test_empty_input_is_empty_rep(self):
         assert normalize_alignment({}, 5, 2) == EmptyRep()

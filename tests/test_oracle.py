@@ -136,6 +136,32 @@ class TestIndependence:
             assert _positions(items, start, count) == delta_select(items, start, count)
 
 
+class TestWindowGrowth:
+    def test_nested_anchoring_widens_the_window(self, monkeypatch):
+        # each anchoring drops the granule of the last anchor it sees, so four
+        # nested levels reach past the first guard into the interior
+        import granlower.oracle as oracle
+
+        windows = []
+        real = oracle.eval_window
+
+        def recorded(expr, lo, hi, **kwargs):
+            windows.append((lo, hi))
+            return real(expr, lo, hi, **kwargs)
+
+        monkeypatch.setattr(oracle, "eval_window", recorded)
+        day = ast.Bottom()
+        weeks = ast.Group(7, day)
+        for _ in range(4):
+            weeks = ast.AnchoredGroup(day, ast.SelectDown(1, 1, day, weeks))
+        rep = convert_expression(weeks)
+        assert rep.period == 7
+        first = compare_with_periodic(real(weeks, -14, 22, guard=15), rep)
+        assert first and all("missing from oracle" in line for line in first)
+        assert verify_against_oracle(weeks, rep, 7) == []
+        assert windows == [(-14, 22), (-29, 37)]
+
+
 class TestTranslationStability:
     def test_interior_labels_stable_under_window_growth(self):
         rng = random.Random(11)

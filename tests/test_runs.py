@@ -126,13 +126,14 @@ def test_anchor_label_covers_smallest_positive_instant(raw):
 def test_normalize_alignment_from_any_copies(raw, cycles):
     period, step, window = raw
     brute = Brute(*raw)
-    # each granule handed in at some other copy, as a list, a set or a generator
-    moved = {}
-    for (a, g), c, kind in zip(sorted(window.items()), cycles, (list, set, iter, tuple)):
-        moved[a + c * step] = kind(tuple(x + c * period for x in g))
+    # each granule handed in at some other copy
+    moved = {
+        a + c * step: runs_from(x + c * period for x in g)
+        for (a, g), c in zip(sorted(window.items()), cycles)
+    }
     rep = normalize_alignment(moved, period, step)
     assert rep.is_canonical
-    assert rep == normalize_alignment(window, period, step)
+    assert rep == normalize_alignment({a: runs_from(g) for a, g in window.items()}, period, step)
     for label in range(min(window) - 2 * step, max(window) + 2 * step + 1):
         assert rep.expand(label) == brute.granule(label)
 
