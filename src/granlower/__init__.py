@@ -23,10 +23,8 @@ from .core import (
     GranularityError,
     PeriodicRep,
     Rep,
-    down_label,
     mindist,
     normalize_alignment,
-    up_label,
 )
 from .minimize import is_valid_reduction, minimize
 from .oracle import (
@@ -52,7 +50,6 @@ __all__ = [
     "convert_calendar",
     "convert_expression",
     "delta_select",
-    "down_label",
     "eval_window",
     "gstp_relabel",
     "is_valid_reduction",
@@ -64,7 +61,6 @@ __all__ = [
     "print_calendar",
     "relabel",
     "rewrite_to_bottom",
-    "up_label",
     "validate",
     "verify_against_oracle",
 ]

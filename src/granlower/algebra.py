@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from itertools import islice
 from operator import itemgetter
 
 
@@ -217,16 +218,21 @@ class CalendarDoc(Record):
 
 KEYWORDS = {"calendar", "bottom", "inf", *OPERATORS}
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-    |(?P<int>-?[0-9]+)
-    |(?P<neg_inf>-inf\b)
-    |(?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
-    |(?P<punct>[(),;=])
-    """,
-    re.VERBOSE,
-)
+_TOKENS = r"[A-Za-z_][A-Za-z0-9_-]*|[(),;=]|-?[0-9]+|-inf\b"
+
+# Each match skips whitespace and comments, then captures one token; where no
+# token starts, it captures the rest of the text, and at the end of the text
+# it captures "".  So findall yields the tokens, then at most one bad token,
+# then one or two "" (the end of input).
+_TOKEN = re.compile(rf"\s*(?:\#[^\n]*\s*)*({_TOKENS}|[\s\S]+|)")
+_VALID_TOKEN = re.compile(_TOKENS)
+
+# the first characters of the token kinds take() reads: a valid token's kind
+# follows from its first character, except that "-inf" is no integer
+_FIRST = {
+    "ident": frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"),
+    "int": frozenset("-0123456789"),
+}
 
 
 class CalendarSyntaxError(Exception):
@@ -236,33 +242,22 @@ class CalendarSyntaxError(Exception):
         self.column = column
 
 
-# a token is (kind, text, offset): kind is "int", "ident", "neg_inf", the
-# punctuation itself or "eof"; offset indexes the source text
-_Token = tuple[str, str, int]
-
-
-def _syntax_error(text: str, offset: int, message: str) -> CalendarSyntaxError:
-    # line and column (both 1-based) are worked out only when an error is raised
+def _syntax_error(text: str, index: int, message: str) -> CalendarSyntaxError:
+    # the offset of token ``index``, and so its line and column (both
+    # 1-based), are worked out by scanning the text again, only on an error
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start(1)
     line = text.count("\n", 0, offset) + 1
     column = offset - text.rfind("\n", 0, offset)
     return CalendarSyntaxError(message, line, column)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        start = m.start()
-        if start != pos:  # finditer skipped what no token matches
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            tokens.append((value if kind == "punct" else kind, value, start))
-    if pos != len(text):
-        raise _syntax_error(text, pos, f"unexpected character {text[pos]!r}")
-    tokens.append(("eof", "", pos))
+def _tokenize(text: str) -> list[str]:
+    """The token texts, ending with "" for the end of input; a character no
+    token starts with is an error, reported before any syntax error."""
+    tokens = _TOKEN.findall(text)
+    last = tokens[-2] if len(tokens) > 1 else ""
+    if last and not _VALID_TOKEN.fullmatch(last):
+        raise _syntax_error(text, len(tokens) - 2, f"unexpected character {last[0]!r}")
     return tokens
 
 
@@ -272,57 +267,68 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def take(self, kind: str, what: str | None = None) -> _Token:
+    def take(self, kind: str, what: str) -> str:
+        """The next token, which must be an "ident" or an "int"."""
         tok = self.peek()
-        if tok[0] != kind:
-            found = repr(tok[1]) if tok[1] else "end of input"
-            raise self.error(f"expected {what or kind}, found {found}", tok)
+        if tok[:1] not in _FIRST[kind] or tok == "-inf":
+            found = repr(tok) if tok else "end of input"
+            raise self.error(f"expected {what}, found {found}")
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> CalendarSyntaxError:
-        """The error at ``tok``, by default the next token."""
-        return _syntax_error(self.text, (tok or self.peek())[2], message)
+    def punct(self, mark: str) -> None:
+        # reads the token without peek(); take() keeps that call, because the
+        # depth of its calls sets the nesting level at which RecursionError
+        # stops the parser, and punctuation is never read at that depth
+        tok = self.tokens[self.pos]
+        if tok != mark:
+            found = repr(tok) if tok else "end of input"
+            raise self.error(f"expected {mark}, found {found}")
+        self.pos += 1
+
+    def error(self, message: str, at: int | None = None) -> CalendarSyntaxError:
+        """The error at token index ``at``, by default the next token."""
+        return _syntax_error(self.text, self.pos if at is None else at, message)
 
     def fresh_name(self, seen: set[str]) -> str:
-        tok = self.take("ident", "a name")
-        name = tok[1]
+        at = self.pos
+        name = self.take("ident", "a name")
         if name in KEYWORDS:
-            raise self.error(f"{name!r} is reserved and cannot name a granularity", tok)
+            raise self.error(f"{name!r} is reserved and cannot name a granularity", at)
         if name in seen:
-            raise self.error(f"duplicate name {name!r}", tok)
+            raise self.error(f"duplicate name {name!r}", at)
         return name
 
     def integer(self) -> int:
-        return int(self.take("int", "an integer")[1])
+        return int(self.take("int", "an integer"))
 
     def positive(self, what: str) -> int:
-        tok = self.peek()
+        at = self.pos
         value = self.integer()
         if value < 1:
-            raise self.error(f"{what} must be positive, got {value}", tok)
+            raise self.error(f"{what} must be positive, got {value}", at)
         return value
 
     def nonzero(self, what: str) -> int:
-        tok = self.peek()
+        at = self.pos
         value = self.integer()
         if value == 0:
-            raise self.error(f"{what} must be nonzero", tok)
+            raise self.error(f"{what} must be nonzero", at)
         return value
 
     def bound(self, side: str) -> int | None:
-        kind, text, _ = tok = self.peek()
-        if kind == "neg_inf":
+        tok = self.peek()
+        if tok == "-inf":
             if side != "lo":
-                raise self.error("-inf is only valid as a lower bound", tok)
+                raise self.error("-inf is only valid as a lower bound")
             self.pos += 1
             return None
-        if kind == "ident" and text == "inf":
+        if tok == "inf":
             if side != "hi":
-                raise self.error("inf is only valid as an upper bound", tok)
+                raise self.error("inf is only valid as an upper bound")
             self.pos += 1
             return None
         return self.integer()
@@ -334,58 +340,57 @@ class _Parser:
         self.take_keyword("bottom")
         bottom = self.fresh_name(seen)
         seen.add(bottom)
-        self.take(";")
+        self.punct(";")
         defs: list[tuple[str, CalExpr]] = []
-        while self.peek()[0] != "eof":
+        while self.tokens[self.pos]:
             name = self.fresh_name(seen)
-            self.take("=")
+            self.punct("=")
             expr = self.expression(bottom, seen, outermost=True)
-            self.take(";")
+            self.punct(";")
             seen.add(name)
             defs.append((name, expr))
         return CalendarDoc(cal_name, bottom, tuple(defs))
 
     def take_keyword(self, word: str) -> None:
-        kind, text, _ = self.peek()
-        if kind != "ident" or text != word:
+        if self.peek() != word:
             raise self.error(f"expected {word!r}")
         self.pos += 1
 
     def expression(self, bottom: str, seen: set[str], outermost: bool = False) -> CalExpr:
-        tok = self.take("ident", "a granularity expression")
-        word = tok[1]
+        at = self.pos
+        word = self.take("ident", "a granularity expression")
         if word not in KEYWORDS:
             if word == bottom:
                 return Bottom()
             if word not in seen:
-                raise self.error(f"unknown granularity {word!r}", tok)
+                raise self.error(f"unknown granularity {word!r}", at)
             return Name(word)
         if word not in OPERATORS:
-            raise self.error(f"unexpected keyword {word!r}", tok)
+            raise self.error(f"unexpected keyword {word!r}", at)
         if word == "subset" and not outermost:
             raise self.error(
-                "subset may only appear as the outermost operation of a definition", tok
+                "subset may only appear as the outermost operation of a definition", at
             )
-        self.take("(")
-        expr = self._operator_body(word, tok, bottom, seen)
-        self.take(")")
+        self.punct("(")
+        expr = self._operator_body(word, at, bottom, seen)
+        self.punct(")")
         return expr
 
-    def _operator_body(self, word: str, tok: _Token, bottom: str, seen: set[str]) -> CalExpr:
+    def _operator_body(self, word: str, at: int, bottom: str, seen: set[str]) -> CalExpr:
         cls, kinds = OPERATORS[word]
         args: list = []
         for kind, *extra in kinds:
             if args:
-                self.take(",")
+                self.punct(",")
             args.append(getattr(self, kind)(*extra))
         # cross-checks of the scalars run before any operand is parsed
         if cls is Alter and args[0] > args[2]:
-            raise self.error(f"alter slot {args[0]} exceeds cycle {args[2]}", tok)
+            raise self.error(f"alter slot {args[0]} exceeds cycle {args[2]}", at)
         if cls is Subset and None not in args and args[0] > args[1]:
-            raise self.error(f"subset bounds {args[0]}..{args[1]} are inverted", tok)
+            raise self.error(f"subset bounds {args[0]}..{args[1]} are inverted", at)
         for _ in cls.__match_args__[len(kinds):]:
             if args:
-                self.take(",")
+                self.punct(",")
             args.append(self.expression(bottom, seen))
         return cls(*args)
 
@@ -453,56 +458,59 @@ class ValidationReport(Record):
 
 
 def validate(doc: CalendarDoc) -> ValidationReport:
-    """Static checks on a document, mirroring what the parser enforces.
+    """Static checks on a document, such as one assembled programmatically.
 
-    Useful for documents assembled programmatically.  Semantic operand checks
-    that need converted representations (partitions, label alignment, the
-    alter lower bound) are performed by the converter and reported there.
+    They cover what the parser enforces (names defined earlier and only
+    once, parameter ranges, ``subset`` only outermost) and one rule it does
+    not: a name bound to a ``subset`` may not be an operand
+    (``bounded-operand``).  Findings come per definition in file order, and
+    within one in pre-order of its syntax.  Semantic operand checks that
+    need converted representations (partitions, label alignment, the alter
+    lower bound) are performed by the converter and reported there.
     """
     findings: list[Finding] = []
     known = {doc.bottom}
     bounded: set[str] = set()
-
-    def walk(name: str, expr: CalExpr, outermost: bool) -> None:
-        match expr:
-            case Name(n):
-                if n not in known:
-                    findings.append(Finding(name, "unresolved-name", f"{n!r} is not defined earlier"))
-                elif n in bounded:
-                    findings.append(
-                        Finding(
-                            name,
-                            "bounded-operand",
-                            f"{n!r} carries subset bounds and cannot be an operand",
-                        )
-                    )
-            case Subset(lo, hi, _) if not outermost:
-                findings.append(
-                    Finding(name, "subset-not-outermost", "subset must be the outermost operation")
-                )
-            case Subset(lo, hi, _) if lo is not None and hi is not None and lo > hi:
-                findings.append(Finding(name, "parameter-range", f"subset bounds {lo}..{hi} inverted"))
-            case Group(m, _) if m < 1:
-                findings.append(Finding(name, "parameter-range", f"group size {m} must be positive"))
-            case Alter(slot, _, cycle, _, _) if not 1 <= slot <= cycle:
-                findings.append(
-                    Finding(name, "parameter-range", f"alter needs 1 <= slot <= cycle, got {slot}, {cycle}")
-                )
-            case SelectDown(k, l, _, _) | SelectIntersect(k, l, _, _) if k == 0 or l < 1:
-                findings.append(
-                    Finding(name, "parameter-range", f"selection needs start != 0 and count > 0, got {k}, {l}")
-                )
-        for child in children(expr):
-            walk(name, child, outermost=False)
-
-    seen: set[str] = set()
     for name, expr in doc.definitions:
-        if name in seen or name == doc.bottom:
+        if name in known:
             findings.append(Finding(name, "duplicate-name", f"{name!r} defined twice"))
-        walk(name, expr, outermost=True)
+        stack = [expr]  # an explicit stack, so nesting depth has no recursion limit
+        while stack:
+            node = stack.pop()
+            match node:
+                case Name(n):
+                    if n not in known:
+                        findings.append(Finding(name, "unresolved-name", f"{n!r} is not defined earlier"))
+                    elif n in bounded:
+                        findings.append(
+                            Finding(
+                                name,
+                                "bounded-operand",
+                                f"{n!r} carries subset bounds and cannot be an operand",
+                            )
+                        )
+                    continue
+                case Bottom():
+                    continue
+                case Subset(lo, hi, _) if node is not expr:  # no node contains itself
+                    findings.append(
+                        Finding(name, "subset-not-outermost", "subset must be the outermost operation")
+                    )
+                case Subset(lo, hi, _) if lo is not None and hi is not None and lo > hi:
+                    findings.append(Finding(name, "parameter-range", f"subset bounds {lo}..{hi} inverted"))
+                case Group(m, _) if m < 1:
+                    findings.append(Finding(name, "parameter-range", f"group size {m} must be positive"))
+                case Alter(slot, _, cycle, _, _) if not 1 <= slot <= cycle:
+                    findings.append(
+                        Finding(name, "parameter-range", f"alter needs 1 <= slot <= cycle, got {slot}, {cycle}")
+                    )
+                case SelectDown(k, l, _, _) | SelectIntersect(k, l, _, _) if k == 0 or l < 1:
+                    findings.append(
+                        Finding(name, "parameter-range", f"selection needs start != 0 and count > 0, got {k}, {l}")
+                    )
+            stack.extend(reversed(_split(node)[3]))  # leftmost operand first
         if isinstance(expr, Subset):
             bounded.add(name)
-        seen.add(name)
         known.add(name)
     return ValidationReport(tuple(findings))
 
@@ -531,13 +539,17 @@ def needed_definitions(
 
     Names only refer to earlier definitions, so one backward pass over the
     document, walking each needed definition's own syntax, finds them all;
-    its cost is linear in the document's size.  The bottom needs no
-    definition.  Raises :class:`KeyError` for a target that is neither.
+    its cost is linear in the document's size.  When every definition is a
+    target, there is nothing to walk.  The bottom needs no definition.
+    Raises :class:`KeyError` for a target that is neither.
     """
     needed = set(targets)
-    unknown = needed - {doc.bottom, *doc.names}
+    defined = set(doc.names)
+    unknown = needed - defined - {doc.bottom}
     if unknown:
         raise KeyError(min(unknown))
+    if needed >= defined:
+        return list(doc.definitions)
     found = []
     for name, expr in reversed(doc.definitions):
         if name in needed:

@@ -162,8 +162,8 @@ class PeriodicRep:
     number of runs rather than with the instants they cover.
 
     Lowered representations are *aligned*: ``first_label`` is the label of
-    the granule covering the smallest positive covered instant (see
-    :meth:`is_canonical`).  Direct construction accepts any valid window.
+    the granule covering the smallest positive covered instant, which
+    :attr:`anchor_label` names.  Direct construction accepts any valid window.
     After construction no attribute can be set or deleted, except that the
     lazy caches ``_cover`` and ``_anchor`` are filled in once.
     """
@@ -404,11 +404,6 @@ class PeriodicRep:
             self._anchor = _anchor_label(self._runs.items(), self.period, self.step)
         return self._anchor
 
-    @property
-    def is_canonical(self) -> bool:
-        """True when the explicit window starts at the anchor label."""
-        return self.anchor_label == self.first_label
-
     # -- derived representations ----------------------------------------
 
     def scaled(self, alpha: int) -> "PeriodicRep":
@@ -569,44 +564,6 @@ def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) ->
             raise GranularityError("incomplete period window")  # unreachable for sane input
         explicit[new_label] = shift_runs(g, s * period) if s else g
     return PeriodicRep.from_runs(period, step, explicit)
-
-
-def up_label(g: Rep, h: Rep, label: int) -> int | None:
-    """Label of the ``h`` granule containing granule ``label`` of ``g``, if any."""
-    source = g.expand(label)
-    if not source:
-        return None
-    target = h.up(source[0])
-    if target is None:
-        return None
-    if not set(source) <= set(h.expand(target)):
-        return None
-    return target
-
-
-def down_label(g: Rep, h: Rep, label: int) -> tuple[int, ...]:
-    """Labels of ``g`` whose granules exactly assemble granule ``label`` of ``h``.
-
-    Raises :class:`GranularityError` when some covered instant has no ``g``
-    granule, or the assembled union disagrees (``g`` does not group into ``h``
-    at this granule).  Non-contiguous granules are fine.
-    """
-    target = h.expand(label)
-    if not target:
-        return ()
-    found = set()
-    for t in target:
-        j = g.up(t)
-        if j is None:
-            raise GranularityError(f"instant {t} of granule {label} is not covered")
-        found.add(j)
-    labels = tuple(sorted(found))
-    assembled = sorted(x for j in labels for x in g.expand(j))
-    if assembled != list(target):
-        raise GranularityError(
-            f"granule {label} is not a union of whole granules of the finer operand"
-        )
-    return labels
 
 
 def consecutive_spans(

@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from granlower import algebra as ast
 from granlower.algebra import (
@@ -160,6 +162,92 @@ class TestParse:
         assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
 
 
+# The tokenizer the parser used before it took token texts from one
+# findall: one finditer match per token or run of whitespace, each token kept
+# as (kind, text, offset), then ("eof", "", offset).  It is the reference the
+# findall tokenizer is checked against.
+_REFERENCE_TOKEN = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+    |(?P<int>-?[0-9]+)
+    |(?P<neg_inf>-inf\b)
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
+    |(?P<punct>[(),;=])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_position(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        start = m.start()
+        if start != pos:  # finditer skipped what no token matches
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            tokens.append((value if kind == "punct" else kind, value, start))
+    if pos != len(text):
+        raise CalendarSyntaxError(f"unexpected character {text[pos]!r}", *_reference_position(text, pos))
+    tokens.append(("eof", "", pos))
+    return tokens
+
+
+_FRAGMENTS = [
+    "calendar", "bottom", "day", "b-day", "_x1", "group", "inf", "-inf", "-infinity",
+    "-inf-", "-", "-7", "12", "0", "(", ")", ",", ";", "=", " ", "\t", "\n", "\r\n", "\r",
+    "# note", "#", "\u00e9", "@", "$", "\x0b", "\u00a0",
+]
+
+calendar_texts = st.lists(
+    st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.text(alphabet="abz_-09(),;=# \t\n\r\u00e9@$", max_size=3),
+    ),
+    max_size=25,
+).map("".join)
+
+
+class TestTokenize:
+    @settings(max_examples=400)
+    @given(calendar_texts)
+    @example("")
+    @example("  \n")
+    @example("day # c")
+    @example("x @ y")
+    @example("- 1")
+    @example("-inf")
+    def test_matches_the_reference(self, text):
+        try:
+            expected = reference_tokenize(text)
+        except CalendarSyntaxError as exc:
+            with pytest.raises(CalendarSyntaxError) as err:
+                ast._tokenize(text)
+            assert (str(err.value), err.value.line, err.value.column) == (str(exc), exc.line, exc.column)
+            return
+        tokens = ast._tokenize(text)
+        *body, (_, _, end) = expected
+        # the end of input is "", once or twice
+        assert tokens[: len(body)] == [value for _, value, _ in body]
+        assert tokens[len(body) :] in ([""], ["", ""])
+        for index, (kind, value, offset) in enumerate(expected):
+            # the parser's kind test, and the position it reports at each token
+            if kind in ("ident", "int"):
+                assert value[:1] in ast._FIRST[kind] and value != "-inf"
+            else:
+                assert value[:1] not in ast._FIRST["ident"]
+                assert value[:1] not in ast._FIRST["int"] or value == "-inf"
+            err = ast._syntax_error(text, index, "m")
+            assert (err.line, err.column) == _reference_position(text, offset)
+
+
 class TestPrint:
     def test_round_trip_fixture(self, fixtures_dir):
         doc = parse_calendar((fixtures_dir / "basic.cal").read_text())
@@ -223,6 +311,48 @@ class TestValidate:
         rules = {f.rule for f in validate(doc).findings}
         assert rules == {"unresolved-name", "duplicate-name"}
 
+    def test_findings_in_order(self):
+        B, N = ast.Bottom(), ast.Name
+        doc = CalendarDoc(
+            "c",
+            "d",
+            (
+                ("s", ast.Subset(5, 2, B)),
+                ("x", ast.Union(ast.Group(0, N("nope")), ast.Subset(1, 2, N("s")))),
+                ("x", ast.Alter(3, 1, 2, B, ast.SelectDown(0, 1, N("x"), B))),
+                (
+                    "d",
+                    ast.SelectIntersect(
+                        1, 0, N("later"), ast.Difference(N("s"), ast.Subset(None, None, B))
+                    ),
+                ),
+            ),
+        )
+        # per definition in file order, then in pre-order of its syntax
+        assert [tuple(f) for f in validate(doc).findings] == [
+            ("s", "parameter-range", "subset bounds 5..2 inverted"),
+            ("x", "parameter-range", "group size 0 must be positive"),
+            ("x", "unresolved-name", "'nope' is not defined earlier"),
+            ("x", "subset-not-outermost", "subset must be the outermost operation"),
+            ("x", "bounded-operand", "'s' carries subset bounds and cannot be an operand"),
+            ("x", "duplicate-name", "'x' defined twice"),
+            ("x", "parameter-range", "alter needs 1 <= slot <= cycle, got 3, 2"),
+            ("x", "parameter-range", "selection needs start != 0 and count > 0, got 0, 1"),
+            ("d", "duplicate-name", "'d' defined twice"),
+            ("d", "parameter-range", "selection needs start != 0 and count > 0, got 1, 0"),
+            ("d", "unresolved-name", "'later' is not defined earlier"),
+            ("d", "bounded-operand", "'s' carries subset bounds and cannot be an operand"),
+            ("d", "subset-not-outermost", "subset must be the outermost operation"),
+        ]
+
+    def test_deep_nesting_is_no_recursion(self):
+        # far deeper than the interpreter's recursion limit
+        expr = ast.Group(0, ast.Name("nope"))
+        for _ in range(5000):
+            expr = ast.Shift(1, expr)
+        doc = CalendarDoc("c", "d", (("x", ast.Subset(1, 2, expr)),))
+        assert [f.rule for f in validate(doc).findings] == ["parameter-range", "unresolved-name"]
+
 
 class TestRewrite:
     def test_monday_over_hour_bottom(self):
@@ -281,6 +411,11 @@ class TestRewrite:
         assert needed_definitions(doc, ["d"]) == []
         with pytest.raises(KeyError):
             needed_definitions(doc, ["pair", "nope"])
+
+    def test_needed_definitions_of_every_name_walk_nothing(self, fixtures_dir, monkeypatch):
+        doc = parse_calendar((fixtures_dir / "basic.cal").read_text())
+        monkeypatch.setattr(ast, "references", None)  # a walk would call it
+        assert needed_definitions(doc, [doc.bottom, *reversed(doc.names)]) == list(doc.definitions)
 
     def test_references_are_direct(self):
         doc = parse_calendar(

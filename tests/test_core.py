@@ -6,10 +6,8 @@ from granlower.core import (
     EmptyRep,
     GranularityError,
     PeriodicRep,
-    down_label,
     mindist,
     normalize_alignment,
-    up_label,
 )
 
 from .test_runs import runs_from
@@ -77,43 +75,6 @@ class TestUp:
         bounded = PeriodicRep(7, 1, week_rep.explicit, (2, 5))
         assert bounded.up(1) is None
         assert bounded.up(10) == 2
-
-
-class TestUpLabel:
-    def test_day_to_week(self, day_rep, week_rep):
-        assert up_label(day_rep, week_rep, 9) == 2
-
-    def test_identity(self, week_rep):
-        assert up_label(week_rep, week_rep, 5) == 5
-
-    def test_straddle_is_none(self, week_rep):
-        month30 = PeriodicRep(30, 1, {1: tuple(range(1, 31))})
-        # week 5 covers days 29..35, split between the first two 30-blocks
-        assert up_label(week_rep, month30, 5) is None
-        assert up_label(week_rep, month30, 2) == 1
-
-    def test_bounded_target_boundary(self, day_rep, week_rep):
-        bounded = PeriodicRep(7, 1, week_rep.explicit, (2, 5))
-        assert up_label(day_rep, bounded, 9) == 2
-        assert up_label(day_rep, bounded, 2) is None
-
-
-class TestDownLabel:
-    def test_days_of_week(self, day_rep, week_rep):
-        assert down_label(day_rep, week_rep, 1) == tuple(range(1, 8))
-
-    def test_identity(self, week_rep):
-        assert down_label(week_rep, week_rep, 4) == (4,)
-
-    def test_business_days_inside_week(self, week_rep):
-        bday = PeriodicRep(7, 7, {1: (1,), 2: (2,), 3: (3,), 4: (4,), 5: (5,)})
-        week_of_bdays = PeriodicRep(7, 1, {1: (1, 2, 3, 4, 5)})
-        assert down_label(bday, week_of_bdays, 2) == (8, 9, 10, 11, 12)
-
-    def test_uncovered_instant_raises(self, week_rep):
-        sunday = PeriodicRep(7, 7, {7: (7,)})
-        with pytest.raises(GranularityError):
-            down_label(sunday, week_rep, 1)
 
 
 class TestLhat:
@@ -308,4 +269,4 @@ class TestProperties:
 
     @given(periodic_reps())
     def test_canonical_after_normalize(self, rep):
-        assert rep.is_canonical
+        assert rep.anchor_label == rep.first_label
