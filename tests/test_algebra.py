@@ -233,7 +233,7 @@ class TestTokenize:
             assert (str(err.value), err.value.line, err.value.column) == (str(exc), exc.line, exc.column)
             return
         tokens = ast._tokenize(text)
-        *body, (_, _, end) = expected
+        body = expected[:-1]
         # the end of input is "", once or twice
         assert tokens[: len(body)] == [value for _, value, _ in body]
         assert tokens[len(body) :] in ([""], ["", ""])
