@@ -142,8 +142,7 @@ def _join_runs(runs, sep: str) -> str:
 
 def _stored_runs(rep: PeriodicRep):
     # (label, runs) of the explicit window, bounds ignored as in to_json_dict
-    core = rep.unbounded()
-    return ((label, core.runs_of(label)) for label in rep.labels)
+    return ((label, rep._runs[label]) for label in rep.labels)
 
 
 def _render_text(reps, out) -> None:

@@ -220,8 +220,7 @@ def convert_shift(g: Rep, offset: int) -> Rep:
     if isinstance(g, EmptyRep):
         return g
     _require_full_integer(g, "shift")
-    base = g.first_label + offset
-    raw = {i: g.runs_of(i - offset) for i in range(base, base + g.step)}
+    raw = {a + offset: runs for a, runs in g._runs.items()}
     return normalize_alignment(raw, g.period, g.step)
 
 
@@ -373,33 +372,32 @@ def convert_set_op(
 def relabel(g: Rep, old: int, new: int) -> Rep:
     """Make granule ``old`` of ``g`` the granule labeled ``new``, renumbering
     every other granule consecutively.  The result is full-integer labeled
-    with the same period; granule contents are untouched."""
+    with the same period; granule contents are untouched.  Subset bounds
+    first move onto the label set, as :func:`convert_subset` moves them."""
     if isinstance(g, EmptyRep):
         raise ConversionError("cannot relabel an empty granularity")
-    if not g.unbounded().runs_of(old):
+    if g.next_label(old - 1) != old:
         raise ConversionError(f"{old} does not label a non-empty granule")
     if g.anchor_label != g.first_label:
         raise ConversionError("relabel requires an aligned representation")
     window = g.labels
-    count = len(window)
-    cycles = (old - g.first_label) // g.step
-    reduced = old - cycles * g.step
-    new_reduced = new - cycles * count
-    offset = window.index(reduced)
-    base = new_reduced - offset
+
+    def rank(label: int) -> int:
+        # position of a label of the label set, counted from first_label
+        cycles, offset = divmod(label - g.first_label, g.step)
+        return cycles * len(window) + window.index(g.first_label + offset)
+
+    base = new - rank(old)
     runs = {base + idx: g._runs[lab] for idx, lab in enumerate(window)}
     bounds = None
     if g.bounds is not None:
-
-        def map_label(lab: int | None) -> int | None:
-            if lab is None:
-                return None
-            c = (lab - g.first_label) // g.step
-            idx = window.index(lab - c * g.step)
-            return base + idx + c * count
-
-        bounds = (map_label(g.bounds[0]), map_label(g.bounds[1]))
-    return PeriodicRep.from_runs(g.period, count, runs, bounds)
+        lo, hi = g.bounds
+        lo = None if lo is None else g.next_label(lo - 1)
+        hi = None if hi is None else g.prev_label(hi + 1)
+        if lo is not None and hi is not None and lo > hi:
+            raise ConversionError("cannot relabel an empty granularity")
+        bounds = tuple(None if b is None else base + rank(b) for b in (lo, hi))
+    return PeriodicRep.from_runs(g.period, len(window), runs, bounds)
 
 
 def gstp_relabel(g: Rep) -> Rep:
@@ -410,13 +408,10 @@ def gstp_relabel(g: Rep) -> Rep:
     """
     if isinstance(g, EmptyRep):
         raise ConversionError("cannot relabel an empty granularity")
-    core = g.unbounded()
-    anchor = core.anchor_label
-    if core.runs_of(anchor)[0][0] > 0:
-        target = anchor
-    else:
-        target = core.next_label(anchor)
-    return relabel(g, target, 1)
+    # relabel rejects unaligned representations, and an aligned one's anchor
+    # is its first stored label
+    first = g.first_label
+    return relabel(g, first if g._runs[first][0][0] > 0 else g.next_label(first), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +465,10 @@ def convert_calendar(
         except ConversionError as exc:
             exc.definition = name
             raise
+        except RecursionError:
+            exc = ConversionError("expression nested too deeply to convert")
+            exc.definition = name
+            raise exc from None
         cache[ast.Name(name)] = reps[name]
     return {name: reps[name] for name in names}
 

@@ -404,19 +404,6 @@ class PeriodicRep:
             self._anchor = _anchor_label(self._runs.items(), self.period, self.step)
         return self._anchor
 
-    # -- derived representations ----------------------------------------
-
-    def scaled(self, alpha: int) -> "PeriodicRep":
-        """The same granularity re-described with pair ``(alpha*period, alpha*step)``."""
-        if alpha < 1:
-            raise GranularityError("scale factor must be positive")
-        runs = {
-            a + r * self.step: shift_runs(g, r * self.period)
-            for a, g in self._runs.items()
-            for r in range(alpha)
-        }
-        return PeriodicRep.from_runs(self.period * alpha, self.step * alpha, runs, self.bounds)
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -558,11 +545,8 @@ def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) ->
     anchor = _anchor_label(families.values(), period, step)
     explicit = {}
     for lab, g in families.values():
-        s = (anchor + step - 1 - lab) // step
-        new_label = lab + s * step
-        if new_label < anchor:
-            raise GranularityError("incomplete period window")  # unreachable for sane input
-        explicit[new_label] = shift_runs(g, s * period) if s else g
+        s = _ceil_div(anchor - lab, step)  # the copy at or just above the anchor
+        explicit[lab + s * step] = shift_runs(g, s * period) if s else g
     return PeriodicRep.from_runs(period, step, explicit)
 
 

@@ -2,9 +2,19 @@ import pathlib
 
 import pytest
 
-from granlower.core import PeriodicRep
+from granlower.core import PeriodicRep, shift_runs
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def scaled(rep: PeriodicRep, alpha: int) -> PeriodicRep:
+    """The same granularity re-described with pair ``(alpha*period, alpha*step)``."""
+    runs = {
+        a + r * rep.step: shift_runs(g, r * rep.period)
+        for a, g in rep._runs.items()
+        for r in range(alpha)
+    }
+    return PeriodicRep.from_runs(rep.period * alpha, rep.step * alpha, runs, rep.bounds)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from granlower.core import PeriodicRep
 from granlower.minimize import _prime_factors, is_valid_reduction, minimize
 from granlower.oracle import verify_against_oracle
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, scaled
 from .exprgen import sample_convertible
 
 
@@ -203,7 +203,7 @@ def test_criterion_5_invariants():
                 # up/expand round trip
                 ok &= all(core.up(t) == a for t in core.expand(a))
             # scaling validity
-            doubled = core.scaled(2)
+            doubled = scaled(core, 2)
             ok &= all(
                 doubled.expand(a) == core.expand(a)
                 for a in core.lhat(2 * core.period)

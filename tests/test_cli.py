@@ -111,6 +111,16 @@ class TestConvert:
         code, _, err = run(capsys, "convert", str(path))
         assert code == 2 and "unknown granularity" in err
 
+    def test_validation_error_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.cal"
+        path.write_text("calendar c bottom day;\ns = subset(1, 5, day);\nu = group(2, s);\n")
+        code, out, err = run(capsys, "convert", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"{path}: validation failed\n"
+            "u: [bounded-operand] 's' carries subset bounds and cannot be an operand\n"
+        )
+
     def test_conversion_error_exit_3(self, capsys, tmp_path):
         path = tmp_path / "bad.cal"
         path.write_text(
@@ -626,6 +636,43 @@ class TestDeepDefinitions:
         assert code == 0, err
         (entry,) = json.loads(out)["granularities"]
         assert entry["rep"]["labels"] == [{"label": 301, "bottoms": [1]}]
+
+    @pytest.mark.parametrize(
+        "head, tail",
+        [("shift(1, ", ")"), ("selectdown(1, 1, ", ", day)")],
+        ids=["shift", "selectdown"],
+    )
+    def test_nesting_too_deep_to_convert_exits_3(self, tmp_path, head, tail):
+        # conversion starts deeper in the stack than parsing, so on some
+        # interpreters a nesting just below the parser's limit parses but
+        # does not convert
+        path = tmp_path / "nested.cal"
+        src = str(pathlib.Path(cli.__file__).parents[1])
+
+        def outcome(command, depth):
+            path.write_text("calendar c bottom day;\nx = " + head * depth + "day" + tail * depth + ";\n")
+            proc = subprocess.run(
+                [sys.executable, "-m", "granlower.cli", command, str(path)],
+                capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            )
+            return proc.returncode, proc.stderr
+
+        # the last depth that parses: 300 does, 600 does not (see above)
+        lo, hi = 300, 600
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if outcome("convert", mid)[0] != 2 else (lo, mid)
+        expected = (3, "granlower: x: expression nested too deeply to convert\n")
+        found = 0
+        for depth in range(lo, lo - 10, -1):
+            code, err = outcome("convert", depth)
+            if code == 0:
+                break
+            assert "Traceback" not in err and (code, err) == expected, depth
+            assert outcome("verify", depth) == expected, depth
+            found += 1
+        if not found:
+            pytest.skip("every nesting that parses converts on this interpreter")
 
 
 def nested_shifts(n: int) -> str:

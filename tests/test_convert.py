@@ -34,8 +34,9 @@ from granlower.convert import (
 from granlower.core import EmptyRep, PeriodicRep, mindist, normalize_alignment
 from granlower.minimize import minimize
 
+from .conftest import scaled
 from .test_cli import FAILING, chain, deadline
-from .test_runs import runs_from
+from .test_runs import raw_windows, runs_from
 
 
 def expansion_equal(a, b, labels):
@@ -189,7 +190,7 @@ def assert_alter_matches(unit, base, slot, change, cycle):
 UNEVEN = PeriodicRep(12, 4, {1: (1,), 2: (2, 3, 4, 5, 6), 3: (7, 8), 4: (9, 10, 11, 12)})
 SIX = PeriodicRep(6, 1, {1: tuple(range(1, 7))})
 # two-day units stored with P = 6, under four-day base granules (P = 4)
-DAY2_BY_3 = PeriodicRep(2, 1, {1: (1, 2)}).scaled(3)
+DAY2_BY_3 = scaled(PeriodicRep(2, 1, {1: (1, 2)}), 3)
 FOUR = PeriodicRep(4, 1, {0: (-3, -2, -1, 0)})
 
 
@@ -569,6 +570,37 @@ class TestRelabel:
         assert out.bounds == (13, 19)
         assert out.expand(13) == week_rep.expand(3)
 
+    @given(
+        raw_windows(),
+        st.one_of(st.none(), st.integers(-12, 12)),
+        st.one_of(st.none(), st.integers(0, 16)),
+        st.integers(0, 30),
+        st.integers(-20, 20),
+    )
+    def test_labels_keep_their_rank(self, raw, lo, width, pick, new):
+        period, step, window = raw
+        core = normalize_alignment({a: runs_from(g) for a, g in window.items()}, period, step)
+        first = core.first_label
+        bounds = (
+            None if lo is None else first + lo,
+            None if width is None else first + (lo or 0) + width,
+        )
+        bounded = PeriodicRep(period, step, core.explicit, bounds)
+        # the label set, by rank, over a range holding the bounds and four windows
+        span = range(first - 4 * step - 12, first + 4 * step + 30)
+        ranked = [a for a in span if core.expand(a)]
+        at = len(ranked) // 4 + pick % (len(ranked) // 2)
+        old = ranked[at]
+        inside = [a for a in ranked if bounded.expand(a)]
+        if bounds[0] is not None and bounds[1] is not None and not inside:
+            with pytest.raises(ConversionError, match="cannot relabel an empty granularity"):
+                relabel(bounded, old, new)
+            return
+        out = relabel(bounded, old, new)
+        assert (out.period, out.step) == (period, len(core.explicit))
+        for rank, a in enumerate(ranked):
+            assert out.expand(new + rank - at) == bounded.expand(a)
+
 
 class TestGstpRelabel:
     def test_anchor_covering_zero_moves_to_next(self):
@@ -585,6 +617,15 @@ class TestGstpRelabel:
     def test_empty_rejected(self):
         with pytest.raises(ConversionError):
             gstp_relabel(EmptyRep())
+
+    def test_bound_off_the_label_set(self):
+        # bounds 3..20 hold sundays 7 and 14, which become labels 1 and 2
+        out = gstp_relabel(PeriodicRep(7, 7, {7: (7,)}, (3, 20)))
+        assert out == PeriodicRep(7, 1, {1: (7,)}, (1, 2))
+
+    def test_bounds_without_a_label_rejected(self):
+        with pytest.raises(ConversionError, match="cannot relabel an empty granularity"):
+            gstp_relabel(PeriodicRep(7, 7, {7: (7,)}, (3, 5)))
 
 
 class TestConvertExpression:
@@ -696,6 +737,17 @@ class TestConvertCalendar:
         assert err.value.definition == "bad"
         assert err.value.path == path
         assert err.value.message == message
+
+    def test_nesting_too_deep_to_convert(self):
+        # a built document skips the parser's nesting limit
+        expr = ast.Bottom()
+        for _ in range(2000):
+            expr = ast.Shift(1, expr)
+        doc = ast.CalendarDoc("c", "day", (("x", expr),))
+        with pytest.raises(ConversionError) as err:
+            convert_calendar(doc)
+        assert err.value.definition == "x"
+        assert str(err.value) == "expression nested too deeply to convert"
 
     def test_unknown_name(self):
         doc = parse_calendar("calendar c bottom day;\nweek = group(7, day);\n")

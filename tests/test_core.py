@@ -10,6 +10,7 @@ from granlower.core import (
     normalize_alignment,
 )
 
+from .conftest import scaled
 from .test_runs import runs_from
 
 
@@ -262,10 +263,10 @@ class TestProperties:
 
     @given(periodic_reps(), st.integers(1, 4))
     def test_scaling_validity(self, rep, alpha):
-        scaled = rep.scaled(alpha)
-        assert scaled.period == alpha * rep.period and scaled.step == alpha * rep.step
+        wide = scaled(rep, alpha)
+        assert wide.period == alpha * rep.period and wide.step == alpha * rep.step
         for a in rep.lhat(2 * rep.period):
-            assert scaled.expand(a) == rep.expand(a)
+            assert wide.expand(a) == rep.expand(a)
 
     @given(periodic_reps())
     def test_canonical_after_normalize(self, rep):

@@ -4,12 +4,13 @@ from granlower.convert import BOTTOM_REP, convert_alter
 from granlower.core import EmptyRep, PeriodicRep
 from granlower.minimize import _prime_factors, is_valid_reduction, minimize
 
+from .conftest import scaled
 from .exprgen import sample_convertible
 
 
 class TestValidReduction:
     def test_inflated_week(self, week_rep):
-        doubled = week_rep.scaled(2)
+        doubled = scaled(week_rep, 2)
         assert is_valid_reduction(doubled, 2)
 
     def test_lengthen_shorten_chain(self, week_rep):
@@ -23,7 +24,7 @@ class TestValidReduction:
         assert not is_valid_reduction(rep, 2)
 
     def test_non_divisor_rejected(self, week_rep):
-        assert not is_valid_reduction(week_rep.scaled(2), 3)
+        assert not is_valid_reduction(scaled(week_rep, 2), 3)
 
 
 class TestMinimize:
@@ -36,19 +37,19 @@ class TestMinimize:
         assert minimize(week_rep) == week_rep
 
     def test_scaled_unit_collapses(self, day_rep):
-        inflated = day_rep.scaled(5)
+        inflated = scaled(day_rep, 5)
         assert (inflated.period, inflated.step) == (5, 5)
         assert minimize(inflated) == day_rep
 
     def test_composite_factors(self, day_rep):
-        inflated = day_rep.scaled(12)
+        inflated = scaled(day_rep, 12)
         assert minimize(inflated) == day_rep
 
     def test_empty_passthrough(self):
         assert minimize(EmptyRep()) == EmptyRep()
 
     def test_bounds_preserved(self, week_rep):
-        bounded = PeriodicRep(14, 2, week_rep.scaled(2).explicit, (3, 9))
+        bounded = PeriodicRep(14, 2, scaled(week_rep, 2).explicit, (3, 9))
         out = minimize(bounded)
         assert out.bounds == (3, 9) and (out.period, out.step) == (7, 1)
 
@@ -81,6 +82,6 @@ class TestMinimizeProperties:
             reduced = minimize(rep)
             alpha = rep.period // reduced.period
             if alpha > 1:
-                again = reduced.scaled(alpha)
+                again = scaled(reduced, alpha)
                 for label in rep.labels_within(-rep.period, 2 * rep.period):
                     assert again.expand(label) == rep.expand(label)

@@ -18,6 +18,7 @@ from granlower.convert import convert_calendar
 from granlower.core import EmptyRep, PeriodicRep, normalize_alignment
 from granlower.minimize import minimize
 
+from .conftest import scaled
 from .test_cli import deadline
 
 
@@ -186,7 +187,7 @@ def test_minimize_matches_brute_force(raw, alpha):
     # scaling first gives minimize something to remove
     period, step, window = raw
     brute = Brute(*raw)
-    rep = PeriodicRep(period, step, window).scaled(alpha)
+    rep = scaled(PeriodicRep(period, step, window), alpha)
     small = minimize(rep)
     assert small.period == brute_minimal_period(period * alpha, step * alpha, brute)
     assert small.period * rep.step == small.step * rep.period
