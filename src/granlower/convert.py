@@ -277,7 +277,7 @@ def convert_subset(g: Rep, lo: int | None, hi: int | None) -> Rep:
         return EmptyRep()
     if first is None and last is None:
         return g
-    return PeriodicRep(g.period, g.step, g.explicit, (first, last))
+    return PeriodicRep.from_runs(g.period, g.step, g._runs, (first, last), g._anchor)
 
 
 def _select(
@@ -433,11 +433,16 @@ def convert_expression(
     conversion.  ``cache`` maps already-converted subexpressions (by
     structural equality) to their representations; reuse it across calls
     only with an unchanged ``minimize`` flag.  A ``Name`` node is allowed
-    only where ``cache`` binds it, as :func:`convert_calendar` does.
+    only where ``cache`` binds it, as :func:`convert_calendar` does.  An
+    expression nested too deeply for the call stack raises
+    :class:`ConversionError`.
     """
     if cache is None:
         cache = {}
-    return _convert(expr, minimize, cache, max_period, root=True, path=())
+    try:
+        return _convert(expr, minimize, cache, max_period, root=True, path=())
+    except RecursionError:
+        raise ConversionError("expression nested too deeply to convert") from None
 
 
 def convert_calendar(
@@ -465,10 +470,6 @@ def convert_calendar(
         except ConversionError as exc:
             exc.definition = name
             raise
-        except RecursionError:
-            exc = ConversionError("expression nested too deeply to convert")
-            exc.definition = name
-            raise exc from None
         cache[ast.Name(name)] = reps[name]
     return {name: reps[name] for name in names}
 

@@ -126,18 +126,12 @@ class _Granules(Mapping):
 class _CoverIndex:
     """Runs of ``[1, period]`` sorted by start, with the label covering each."""
 
-    __slots__ = ("starts", "ends", "labels", "gapless")
+    __slots__ = ("starts", "ends", "labels")
 
-    def __init__(self, entries: list[tuple[int, int, int]], period: int):
-        entries.sort()
-        for (_, e0, _), (s1, _, _) in zip(entries, entries[1:]):
-            if s1 <= e0:
-                raise GranularityError(f"instant {s1} covered by two granules")
+    def __init__(self, entries: list[tuple[int, int, int]]):
         self.starts = [s for s, _, _ in entries]
         self.ends = [e for _, e, _ in entries]
         self.labels = [a for _, _, a in entries]
-        # runs are disjoint, so they cover every instant when their sizes add up
-        self.gapless = sum(self.ends) - sum(self.starts) + len(entries) == period
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -164,13 +158,14 @@ class PeriodicRep:
     Lowered representations are *aligned*: ``first_label`` is the label of
     the granule covering the smallest positive covered instant, which
     :attr:`anchor_label` names.  Direct construction accepts any valid window.
+    ``gapless`` says whether the granules cover every bottom instant.
     After construction no attribute can be set or deleted, except that the
     lazy caches ``_cover`` and ``_anchor`` are filled in once.
     """
 
     __slots__ = (
         "period", "step", "explicit", "bounds", "first_label", "labels",
-        "_runs", "_cover", "_anchor",
+        "gapless", "_runs", "_cover", "_anchor",
     )
 
     def __init__(
@@ -197,13 +192,19 @@ class PeriodicRep:
             raise GranularityError(
                 f"explicit labels {labels} do not fit in one window of {step}"
             )
-        for a, b in zip(labels, labels[1:]):
-            if runs[a][-1][1] >= runs[b][0][0]:
+        covered = 0  # instants the window's granules hold
+        end = runs[first][0][0] - 1  # last instant of the previous granule
+        for a in labels:
+            g = runs[a]
+            if g[0][0] <= end:
                 raise GranularityError(
-                    f"granules of labels {a} and {b} are not time-ordered"
+                    f"granules of labels {prev} and {a} are not time-ordered"
                 )
+            for s, e in g:
+                covered += e - s + 1
+            prev, end = a, g[-1][1]
         # the window must also precede its own next copy
-        if runs[labels[-1]][-1][1] >= runs[first][0][0] + period:
+        if end >= runs[first][0][0] + period:
             raise GranularityError(
                 "last explicit granule overlaps the next period's first granule"
             )
@@ -224,6 +225,9 @@ class PeriodicRep:
         self.bounds = bounds
         self.first_label = first
         self.labels = tuple(labels)  # labels of the explicit window, ascending
+        # the window lies inside one period's span, so its granules cover
+        # every instant exactly when their sizes add up to the period
+        self.gapless = covered == period
         self._cover: _CoverIndex | None = None
         self._anchor: int | None = None
         self.__class__ = PeriodicRep
@@ -238,16 +242,25 @@ class PeriodicRep:
 
     @staticmethod
     def from_runs(
-        period: int, step: int, runs: dict[int, Runs], bounds: Bounds | None = None
+        period: int,
+        step: int,
+        runs: dict[int, Runs],
+        bounds: Bounds | None = None,
+        anchor: int | None = None,
     ) -> "PeriodicRep":
-        """Build from canonical runs directly; the dict is kept, not copied."""
-        return _Unsealed(period, step, _Granules(runs), bounds)
+        """Build from canonical runs directly; the dict is kept, not copied.
+
+        ``anchor``, when given, must be the granularity's :attr:`anchor_label`.
+        """
+        rep = _Unsealed(period, step, _Granules(runs), bounds)
+        rep._anchor = anchor
+        return rep
 
     def unbounded(self) -> "PeriodicRep":
         """The unbounded core: the same granularity without subset bounds."""
         if self.bounds is None:
             return self
-        return PeriodicRep(self.period, self.step, self.explicit)
+        return PeriodicRep.from_runs(self.period, self.step, self._runs, anchor=self._anchor)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -278,7 +291,7 @@ class PeriodicRep:
 
     def _locate(self, label: int) -> tuple[Runs, int] | None:
         # the stored runs of this label's residue and the shift to reach it
-        if not self._in_bounds(label):
+        if self.bounds is not None and not self._in_bounds(label):
             return None
         # k: the label of the window [first_label, first_label + step - 1]
         # congruent to label modulo step
@@ -304,31 +317,43 @@ class PeriodicRep:
         return _indices(*found)
 
     def _cover_index(self) -> _CoverIndex:
-        # runs of the covered instants in [1, period], with their labels
+        # runs of the covered instants in [1, period], with their labels, in
+        # one pass over the window: it spans less than a period, so it reaches
+        # at most one period boundary; the runs past it, reduced, come first
         if self._cover is None:
-            entries = []
-            p = self.period
-            for a, runs in self._runs.items():
-                for s in _shifts(runs[0][0], runs[-1][1], 1, p, p):
-                    shift = s * p
-                    label = a + s * self.step
-                    for x, y in runs:
-                        lo, hi = max(x + shift, 1), min(y + shift, p)
-                        if lo <= hi:
-                            entries.append((lo, hi, label))
-            self._cover = _CoverIndex(entries, p)
+            p, step = self.period, self.step
+            cycles = (self._runs[self.first_label][0][0] - 1) // p
+            shift = cycles * p
+            before, after = [], []
+            for a in self.labels:
+                label = a - cycles * step
+                for x, y in self._runs[a]:
+                    x -= shift
+                    y -= shift
+                    if y <= p:
+                        before.append((x, y, label))
+                    elif x > p:
+                        after.append((x - p, y - p, label - step))
+                    else:  # the one run that wraps
+                        before.append((x, p, label))
+                        after.append((1, y - p, label - step))
+            self._cover = _CoverIndex(after + before)
         return self._cover
 
     def up(self, instant: int) -> int | None:
         """Label of the granule covering a bottom instant, or ``None`` in a gap."""
+        cover = self._cover
+        if cover is None:
+            cover = self._cover_index()
         cycles = (instant - 1) // self.period
         reduced = instant - cycles * self.period  # in [1, period]
-        cover = self._cover_index()
         i = bisect_right(cover.starts, reduced) - 1
         if i < 0 or cover.ends[i] < reduced:
             return None
         label = cover.labels[i] + cycles * self.step
-        return label if self._in_bounds(label) else None
+        if self.bounds is None or self._in_bounds(label):
+            return label
+        return None
 
     def _covered(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         # (start, end, label) of the unbounded core's runs that meet [lo, hi]
@@ -353,10 +378,13 @@ class PeriodicRep:
         Granules are time-ordered, so the union is every covered instant from
         the start of ``first`` to the end of ``last``.
         """
-        # the two endpoints only, without building shifted run tuples
-        (head, d0), (tail, d1) = self._locate(first), self._locate(last)
-        lo, hi = head[0][0] + d0, tail[-1][1] + d1
-        if self._cover_index().gapless:
+        # the two endpoints only, without building shifted run tuples; k0
+        # and k1 are the window labels of their residues, as in _locate
+        f, n, p = self.first_label, self.step, self.period
+        k0, k1 = f + (first - f) % n, f + (last - f) % n
+        lo = self._runs[k0][0][0] + (first - k0) // n * p
+        hi = self._runs[k1][-1][1] + (last - k1) // n * p
+        if self.gapless:
             return ((lo, hi),)
         return join_runs([[(max(s, lo), min(e, hi)) for s, e, _ in self._covered(lo, hi)]])
 
@@ -498,22 +526,11 @@ Rep = PeriodicRep | EmptyRep
 
 def _anchor_label(granules: Iterable[tuple[int, Runs]], period: int, step: int) -> int:
     """Label of the granule covering the smallest positive covered instant,
-    among the ``(label, runs)`` pairs and their (period, step) copies."""
-    best: tuple[int, int] | None = None  # (instant, label)
-    for lab, runs in granules:
-        s = _ceil_div(1 - runs[-1][1], period)
-        shift = s * period
-        # the first run reaching past instant 0 holds the smallest positive instant
-        start = runs[0][0]
-        if runs[0][1] + shift < 1:
-            start = next(x for x, y in runs if y + shift >= 1)
-        instant = max(start + shift, 1)
-        if best is not None and instant == best[0]:
-            raise GranularityError("two granules cover the same instant")
-        if best is None or instant < best[0]:
-            best = (instant, lab + s * step)
-    assert best is not None
-    return best[1]
+    among the ``(label, runs)`` pairs and their (period, step) copies.
+
+    Granules are time-ordered by label, so that is the smallest label of a
+    copy that ends at a positive instant."""
+    return min(lab - (runs[-1][1] - 1) // period * step for lab, runs in granules)
 
 
 def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) -> Rep:
@@ -523,8 +540,9 @@ def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) ->
     explicit granules at any labels, as long as every populated residue class
     modulo ``step`` appears at least once; duplicate representatives must be
     consistent with the stated periodicity.  The result's window starts at
-    the label of the granule covering the smallest positive covered instant.
-    An empty input yields :class:`EmptyRep`.
+    the label of the granule covering the smallest positive covered instant,
+    which the result keeps as its :attr:`~PeriodicRep.anchor_label`.  An
+    empty input yields :class:`EmptyRep`.
     """
     families: dict[int, tuple[int, Runs]] = {}
     for lab in sorted(lab for lab, g in granules.items() if g):
@@ -547,7 +565,9 @@ def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) ->
     for lab, g in families.values():
         s = _ceil_div(anchor - lab, step)  # the copy at or just above the anchor
         explicit[lab + s * step] = shift_runs(g, s * period) if s else g
-    return PeriodicRep.from_runs(period, step, explicit)
+    rep = PeriodicRep.from_runs(period, step, explicit)
+    rep._anchor = rep.first_label  # equal to anchor, and no second int to hold
+    return rep
 
 
 def consecutive_spans(

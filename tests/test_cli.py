@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import pathlib
@@ -495,6 +496,25 @@ class TestOutputBytes:
         code, out, err = run(capsys, "convert", str(path), "--format", "text")
         assert code == 0, err
         assert out == reference_text(path)
+
+    # SHA-256 of convert's stdout as a fresh process writes it, recorded
+    # when the Gregorian fixtures were first benchmarked
+    DIGESTS = {
+        ("gregorian.cal",): "c753d9c07b391ac0ea55cd49024d6abc4b62c79e1b6ffc1fa13dc80e69650d0d",
+        ("gregorian_doubled.cal",): "a86b336b83c4af12360981de79b9716fda8fca113b5edc663886c3503fe3286e",
+        ("gregorian_doubled.cal", "--no-minimize"):
+            "ebac9c50dcf4eb042b8347491d44e2f9a8454d5aaabfcd371903d44a1cfcbc22",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
+    def test_recorded_digest(self, fixtures_dir, argv):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "granlower.cli", "convert", str(fixtures_dir / argv[0]), *argv[1:]],
+            capture_output=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.DIGESTS[argv]
 
     def test_json_written_in_batches(self, fixtures_dir):
         # neither one write per token nor the whole document in one string

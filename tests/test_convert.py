@@ -675,6 +675,16 @@ class TestConvertExpression:
         with pytest.raises(ConversionError, match="cap"):
             convert_expression(expr, max_period=10_000)
 
+    def test_nesting_too_deep_to_convert(self):
+        # a hand-built tree skips the parser's nesting limit
+        expr = ast.Bottom()
+        for _ in range(2000):
+            expr = ast.Shift(1, expr)
+        with pytest.raises(ConversionError) as err:
+            convert_expression(expr)
+        assert str(err.value) == "expression nested too deeply to convert"
+        assert (err.value.path, err.value.definition) == ((), None)
+
 
 class TestConvertCalendar:
     @pytest.mark.parametrize("op, n", [("union", 300), ("shift", 5000)])
@@ -748,6 +758,15 @@ class TestConvertCalendar:
             convert_calendar(doc)
         assert err.value.definition == "x"
         assert str(err.value) == "expression nested too deeply to convert"
+
+    def test_conversion_builds_no_cover_index(self, fixtures_dir):
+        # year groups month through span, which a gapless month answers
+        # without the index; the first up builds it
+        doc = parse_calendar((fixtures_dir / "gregorian.cal").read_text())
+        month = convert_calendar(doc)["month"]
+        assert month._cover is None
+        assert month.up(1) == 1
+        assert month._cover is not None
 
     def test_unknown_name(self):
         doc = parse_calendar("calendar c bottom day;\nweek = group(7, day);\n")

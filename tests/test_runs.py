@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granlower.algebra import parse_calendar
-from granlower.convert import convert_calendar
+from granlower.convert import convert_calendar, convert_subset
 from granlower.core import EmptyRep, PeriodicRep, normalize_alignment
 from granlower.minimize import minimize
 
@@ -216,6 +216,31 @@ def test_explicit_is_a_read_only_view(raw):
         rep.explicit[min(window)] = (1,)
     # the view rebuilds the same representation
     assert PeriodicRep(period, step, rep.explicit) == rep
+
+
+@given(raw_windows(), st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(2, 3))
+def test_coverage_and_anchor_known_from_construction(raw, cycles, alpha):
+    period, step, window = raw
+    rep = PeriodicRep(period, step, window)
+    assert rep.gapless == all(rep.up(t) is not None for t in range(1, period + 1))
+
+    def fresh_anchor(r):
+        return PeriodicRep(r.period, r.step, dict(r.explicit)).anchor_label
+
+    # normalize_alignment stores the anchor it computed, and minimize's
+    # smaller window keeps it
+    moved = {
+        a + c * step: runs_from(x + c * period for x in g)
+        for (a, g), c in zip(sorted(window.items()), cycles)
+    }
+    aligned = normalize_alignment(moved, period, step)
+    assert aligned._anchor is not None and aligned._anchor == fresh_anchor(aligned)
+    bounded = convert_subset(aligned, aligned.first_label, None)
+    assert bounded.unbounded()._anchor == aligned._anchor
+    wide = scaled(aligned, alpha)
+    small = minimize(normalize_alignment(wide._runs, wide.period, wide.step))
+    assert small.period <= period  # reduced at least by alpha
+    assert small._anchor is not None and small._anchor == fresh_anchor(small)
 
 
 def test_week_parts_holes():
