@@ -160,7 +160,8 @@ class PeriodicRep:
     :attr:`anchor_label` names.  Direct construction accepts any valid window.
     ``gapless`` says whether the granules cover every bottom instant.
     After construction no attribute can be set or deleted, except that the
-    lazy caches ``_cover`` and ``_anchor`` are filled in once.
+    caches ``_cover`` and ``_anchor`` are filled in once, lazily or (for the
+    anchor) by the code that built the window.
     """
 
     __slots__ = (
