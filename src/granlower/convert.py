@@ -29,7 +29,6 @@ from .core import (
     join_runs,
     mindist,  # no longer called here; kept for callers that look it up here
     normalize_alignment,
-    runs_within,
 )
 from .minimize import minimize as minimize_rep
 
@@ -110,18 +109,16 @@ def _frame(g1: PeriodicRep, g2: PeriodicRep, max_period: int) -> tuple[int, int]
 
 def _walk(frame: PeriodicRep, source: PeriodicRep, period: int, touch: bool) -> Iterator:
     """``(label, granule, found)`` for each ``frame`` label in ``lhat(period)``,
-    ``found`` being the ``source`` labels the granule contains (or, with
-    ``touch``, meets).  A granule's hull is shorter than ``period``, so a
-    source label found outside ``[1, period]`` also comes back, shifted by
-    whole periods, from another frame label of the walk; normalize_alignment
-    checks such duplicates against the (period, step) repetition and keeps one.
+    ``found`` being the ascending ``source`` labels the granule contains (or,
+    with ``touch``, meets), one question to ``source`` per frame granule.  A
+    granule's hull is shorter than ``period``, so a source label found
+    outside ``[1, period]`` also comes back, shifted by whole periods, from
+    another frame label of the walk; normalize_alignment checks such
+    duplicates against the (period, step) repetition and keeps one.
     """
     for i in frame.lhat(period):
         granule = frame.runs_of(i)
-        found = source.labels_touching(granule)  # contained granules touch too
-        if not touch:
-            found = [j for j in found if runs_within(source.runs_of(j), granule)]
-        yield i, granule, found
+        yield i, granule, source._labels_in(granule, touch)
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +377,19 @@ def relabel(g: Rep, old: int, new: int) -> Rep:
         raise ConversionError(f"{old} does not label a non-empty granule")
     if g.anchor_label != g.first_label:
         raise ConversionError("relabel requires an aligned representation")
-    window = g.labels
-
-    def rank(label: int) -> int:
-        # position of a label of the label set, counted from first_label
-        cycles, offset = divmod(label - g.first_label, g.step)
-        return cycles * len(window) + window.index(g.first_label + offset)
-
-    base = new - rank(old)
-    runs = {base + idx: g._runs[lab] for idx, lab in enumerate(window)}
+    # positions count from first_label, so the new labels are base + position
+    base = new - g._rank(old)
+    runs = {base + idx: g._runs[lab] for idx, lab in enumerate(g.labels)}
     bounds = None
     if g.bounds is not None:
         lo, hi = g.bounds
-        lo = None if lo is None else g.next_label(lo - 1)
-        hi = None if hi is None else g.prev_label(hi + 1)
+        # the positions of the bounds moved onto the label set
+        lo = None if lo is None else g._rank(lo)
+        hi = None if hi is None else g._rank(hi + 1) - 1
         if lo is not None and hi is not None and lo > hi:
             raise ConversionError("cannot relabel an empty granularity")
-        bounds = tuple(None if b is None else base + rank(b) for b in (lo, hi))
-    return PeriodicRep.from_runs(g.period, len(window), runs, bounds)
+        bounds = tuple(None if b is None else base + b for b in (lo, hi))
+    return PeriodicRep.from_runs(g.period, len(g.labels), runs, bounds)
 
 
 def gstp_relabel(g: Rep) -> Rep:

@@ -4,9 +4,10 @@ A granularity maps integer labels to disjoint, time-ordered sets of bottom
 instants (its granules).  Most useful granularities repeat: after ``period``
 bottom instants the grouping pattern recurs and labels advance by ``step``.
 That makes one window of explicitly stored granules enough to answer any
-query, which is what :class:`PeriodicRep` encodes.  This module also carries
-the label-set machinery (the explicit window, the cover set of a horizon, the
-anchor label) that the lowering formulas in :mod:`granlower.convert` consume.
+query, which is what :class:`PeriodicRep` encodes.  Its queries (the granule
+covering an instant, the labels meeting a horizon or lying in a frame
+granule, the neighbours of a label) all go through one label-position rule,
+and the lowering formulas in :mod:`granlower.convert` consume them.
 
 Granules are stored run-length encoded: sorted, disjoint, non-adjacent
 ``(start, end)`` runs of bottom indices, both ends inclusive.  Every internal
@@ -64,24 +65,15 @@ def join_runs(granules: Iterable[Runs]) -> Runs:
     return tuple(out)
 
 
-def _shifts(first: int, last: int, lo: int, hi: int, period: int) -> range:
-    # the s for which [first, last] + s * period meets [lo, hi]; with first
-    # and last swapped, the s for which it lies inside [lo, hi]
-    return range(_ceil_div(lo - last, period), (hi - first) // period + 1)
-
-
 def shift_runs(runs: Runs, delta: int) -> Runs:
     return tuple((s + delta, e + delta) for s, e in runs)
 
 
-def runs_within(inner: Runs, outer: Runs) -> bool:
-    """True when every instant of ``inner`` lies in ``outer`` (both canonical)."""
-    starts = [s for s, _ in outer]
-    for s, e in inner:
-        i = bisect_right(starts, s) - 1
-        if i < 0 or outer[i][1] < e:
-            return False
-    return True
+def _reaches(runs: Runs, x: int, y: int) -> bool:
+    # whether the run with the greatest start at or below x ends at or above
+    # y; exactly the runs starting at or below x sort before (x + 1,)
+    i = bisect_left(runs, (x + 1,))
+    return i > 0 and runs[i - 1][1] >= y
 
 
 def _indices(runs: Runs, delta: int = 0) -> Granule:
@@ -124,21 +116,17 @@ class _Granules(Mapping):
 
 
 class _CoverIndex:
-    """Runs of ``[1, period]`` sorted by start, with the label covering each."""
+    """The window's granules in label order, with their first starts and last ends."""
 
-    __slots__ = ("starts", "ends", "labels")
+    __slots__ = ("runs", "starts", "ends")
 
-    def __init__(self, entries: list[tuple[int, int, int]]):
-        self.starts = [s for s, _, _ in entries]
-        self.ends = [e for _, e, _ in entries]
-        self.labels = [a for _, _, a in entries]
+    def __init__(self, runs: list[Runs]):
+        self.runs = runs
+        self.starts = [g[0][0] for g in runs]
+        self.ends = [g[-1][1] for g in runs]
 
     def __len__(self) -> int:
-        return len(self.starts)
-
-    def touching(self, lo: int, hi: int) -> range:
-        """Positions of the runs that share an instant with ``[lo, hi]``."""
-        return range(bisect_left(self.ends, lo), bisect_right(self.starts, hi))
+        return len(self.runs)
 
 
 class PeriodicRep:
@@ -317,61 +305,72 @@ class PeriodicRep:
             return ()
         return _indices(*found)
 
+    # -- the label-position rule ------------------------------------------
+    # Window labels are time-ordered, so position n of the label set is
+    # window label n % m moved by n // m steps (m the window size), and its
+    # granule is that window granule moved by n // m periods.  Labels, first
+    # starts and last ends all increase with n, so every query below is one
+    # bisect for a position and index arithmetic from there.
+
+    def _rank(self, label: int) -> int:
+        # position of the smallest label of the set at or above label
+        cycles, offset = divmod(label - self.first_label, self.step)
+        return cycles * len(self.labels) + bisect_left(self.labels, self.first_label + offset)
+
+    def _at(self, n: int) -> tuple[int, Runs, int]:
+        # label, stored runs and shift of position n
+        cycles, i = divmod(n, len(self.labels))
+        return self.labels[i] + cycles * self.step, self._runs[self.labels[i]], cycles * self.period
+
     def _cover_index(self) -> _CoverIndex:
-        # runs of the covered instants in [1, period], with their labels, in
-        # one pass over the window: it spans less than a period, so it reaches
-        # at most one period boundary; the runs past it, reduced, come first
         if self._cover is None:
-            p, step = self.period, self.step
-            cycles = (self._runs[self.first_label][0][0] - 1) // p
-            shift = cycles * p
-            before, after = [], []
-            for a in self.labels:
-                label = a - cycles * step
-                for x, y in self._runs[a]:
-                    x -= shift
-                    y -= shift
-                    if y <= p:
-                        before.append((x, y, label))
-                    elif x > p:
-                        after.append((x - p, y - p, label - step))
-                    else:  # the one run that wraps
-                        before.append((x, p, label))
-                        after.append((1, y - p, label - step))
-            self._cover = _CoverIndex(after + before)
+            self._cover = _CoverIndex([self._runs[a] for a in self.labels])
         return self._cover
+
+    def _seek(self, x: int, ends: bool = False, above: bool = False) -> int:
+        # first position whose first start (with ends, last end) is at or
+        # above x (with above, strictly above)
+        cover = self._cover_index()
+        edges = cover.ends if ends else cover.starts
+        cycles = (x - edges[0]) // self.period
+        find = bisect_right if above else bisect_left
+        return cycles * len(edges) + find(edges, x - cycles * self.period)
 
     def up(self, instant: int) -> int | None:
         """Label of the granule covering a bottom instant, or ``None`` in a gap."""
         cover = self._cover
         if cover is None:
             cover = self._cover_index()
-        cycles = (instant - 1) // self.period
-        reduced = instant - cycles * self.period  # in [1, period]
-        i = bisect_right(cover.starts, reduced) - 1
-        if i < 0 or cover.ends[i] < reduced:
+        # the last position starting at or before instant, as in _seek
+        starts, p = cover.starts, self.period
+        cycles = (instant - starts[0]) // p
+        t = instant - cycles * p
+        i = bisect_right(starts, t) - 1
+        # granules that cover every instant need no check that one covers t
+        if not self.gapless and not _reaches(cover.runs[i], t, t):
             return None
-        label = cover.labels[i] + cycles * self.step
+        label = self.labels[i] + cycles * self.step
         if self.bounds is None or self._in_bounds(label):
             return label
         return None
 
-    def _covered(self, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-        # (start, end, label) of the unbounded core's runs that meet [lo, hi]
-        cover = self._cover_index()
-        p = self.period
-        for cycle in range((lo - 1) // p, (hi - 1) // p + 1):
-            offset = cycle * p
-            for i in cover.touching(max(lo - offset, 1), min(hi - offset, p)):
-                yield (
-                    cover.starts[i] + offset,
-                    cover.ends[i] + offset,
-                    cover.labels[i] + cycle * self.step,
-                )
-
-    def labels_touching(self, probe: Runs) -> list[int]:
-        """Labels of the unbounded core's granules sharing an instant with ``probe``."""
-        return sorted({a for lo, hi in probe for _, _, a in self._covered(lo, hi)})
+    def _labels_in(self, frame: Runs, touch: bool) -> list[int]:
+        # labels of the unbounded core's granules inside frame (with touch,
+        # meeting it): a range of positions by hull, checked run by run only
+        # where the frame or the granule has a gap
+        lo, hi = frame[0][0], frame[-1][1]
+        cover, m, found = self._cover_index(), len(self.labels), []
+        for n in range(self._seek(lo, ends=touch), self._seek(hi, ends=not touch, above=True)):
+            cycles, i = divmod(n, m)  # _at's arithmetic, inline on this hot loop
+            runs = cover.runs[i]
+            if len(runs) > 1 or len(frame) > 1:
+                runs = shift_runs(runs, cycles * self.period)
+                if touch and not any(_reaches(frame, e, s) for s, e in runs):
+                    continue
+                if not touch and not all(_reaches(frame, s, e) for s, e in runs):
+                    continue
+            found.append(self.labels[i] + cycles * self.step)
+        return found
 
     def span(self, first: int, last: int) -> Runs:
         """Runs of the union of granules ``first`` to ``last``, both in the label set.
@@ -379,27 +378,23 @@ class PeriodicRep:
         Granules are time-ordered, so the union is every covered instant from
         the start of ``first`` to the end of ``last``.
         """
-        # the two endpoints only, without building shifted run tuples; k0
-        # and k1 are the window labels of their residues, as in _locate
-        f, n, p = self.first_label, self.step, self.period
-        k0, k1 = f + (first - f) % n, f + (last - f) % n
-        lo = self._runs[k0][0][0] + (first - k0) // n * p
-        hi = self._runs[k1][-1][1] + (last - k1) // n * p
         if self.gapless:
-            return ((lo, hi),)
-        return join_runs([[(max(s, lo), min(e, hi)) for s, e, _ in self._covered(lo, hi)]])
+            # the two endpoints only, as _locate finds them: k0 and k1 are
+            # the window labels of their residues
+            f, n, p = self.first_label, self.step, self.period
+            k0, k1 = f + (first - f) % n, f + (last - f) % n
+            lo = self._runs[k0][0][0] + (first - k0) // n * p
+            return ((lo, self._runs[k1][-1][1] + (last - k1) // n * p),)
+        positions = range(self._rank(first), self._rank(last) + 1)
+        return join_runs(shift_runs(g, d) for _, g, d in map(self._at, positions))
 
     def next_label(self, label: int) -> int:
         """Smallest label of the (unbounded core) label set strictly above ``label``."""
-        return min(
-            a + _ceil_div(label + 1 - a, self.step) * self.step for a in self.labels
-        )
+        return self._at(self._rank(label + 1))[0]
 
     def prev_label(self, label: int) -> int:
         """Greatest label of the (unbounded core) label set strictly below ``label``."""
-        return max(
-            a + ((label - 1 - a) // self.step) * self.step for a in self.labels
-        )
+        return self._at(self._rank(label) - 1)[0]
 
     def lhat(self, horizon: int) -> list[int]:
         """Labels of all granules covering some instant in ``[1, horizon]``.
@@ -411,20 +406,11 @@ class PeriodicRep:
             raise GranularityError(
                 f"horizon {horizon} is not a positive multiple of period {self.period}"
             )
-        return sorted(
-            a + s * self.step
-            for a, runs in self._runs.items()
-            for s in _shifts(runs[0][0], runs[-1][1], 1, horizon, self.period)
-        )
+        return self._labels_in(((1, horizon),), True)
 
     def labels_within(self, lo: int, hi: int) -> list[int]:
         """Labels whose non-empty granules lie entirely inside ``[lo, hi]``."""
-        labels = (
-            a + s * self.step
-            for a, runs in self._runs.items()
-            for s in _shifts(runs[-1][1], runs[0][0], lo, hi, self.period)
-        )
-        return sorted(filter(self._in_bounds, labels))
+        return list(filter(self._in_bounds, self._labels_in(((lo, hi),), False)))
 
     @property
     def anchor_label(self) -> int:
@@ -463,10 +449,11 @@ class PeriodicRep:
         try:
             if data.get("empty"):
                 return EmptyRep()
-            explicit = {
-                _json_int(e["label"]): [_json_int(t) for t in e["bottoms"]]
-                for e in data["labels"]
-            }
+            explicit = {}
+            for e in data["labels"]:
+                if (label := _json_int(e["label"])) in explicit:
+                    raise GranularityError(f"malformed representation: label {label} is given twice")
+                explicit[label] = [_json_int(t) for t in e["bottoms"]]
             raw = data.get("bounds")
             if raw is None:
                 bounds = None

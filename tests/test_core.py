@@ -210,6 +210,17 @@ class TestJson:
         with pytest.raises(GranularityError):
             PeriodicRep.from_json_dict(data)
 
+    def test_repeated_label_is_rejected(self):
+        # a second entry for a label must not silently replace the first
+        data = {
+            "P": 7,
+            "N": 2,
+            "labels": [{"label": 1, "bottoms": [1, 2]}, {"label": 1, "bottoms": [5]}],
+            "bounds": None,
+        }
+        with pytest.raises(GranularityError, match="label 1 is given twice"):
+            PeriodicRep.from_json_dict(data)
+
 
 class TestImmutable:
     def test_explicit_window_is_read_only(self, week_parts_rep):

@@ -10,7 +10,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granlower.algebra import parse_calendar
@@ -150,21 +150,44 @@ def runs_from(instants):
     return tuple((a, b) for a, b in runs)
 
 
-@given(
-    raw_windows(),
-    st.integers(0, 6),
-    st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 12)), min_size=1, max_size=3),
-)
-def test_span_and_touching_match_instants(raw, count, probes):
+@given(raw_windows(), st.integers(0, 6))
+def test_span_matches_instants(raw, count):
     period, step, window = raw
     rep, brute = PeriodicRep(period, step, window), Brute(*raw)
     labels = brute.labels(1, 3 * period)
     first, last = labels[0], labels[min(count, len(labels) - 1)]
     union = {x for a in labels if first <= a <= last for x in brute.granule(a)}
     assert rep.span(first, last) == runs_from(union)
-    instants = {t for lo, width in probes for t in range(lo, lo + width + 1)}
-    expected = sorted({brute.up(t) for t in instants} - {None})
-    assert rep.labels_touching(runs_from(instants)) == expected
+
+
+@given(raw_windows(), st.integers(-40, 40))
+def test_next_and_prev_label_match_instants(raw, label):
+    period, step, window = raw
+    brute = Brute(*raw)
+    # every residue of the label set recurs within step labels
+    above = next(a for a in range(label + 1, label + step + 1) if brute.granule(a))
+    below = next(a for a in range(label - 1, label - step - 1, -1) if brute.granule(a))
+    # both answer for the unbounded core, whatever the bounds
+    for bounds in (None, (label, label)):
+        rep = PeriodicRep(period, step, window, bounds)
+        assert (rep.next_label(label), rep.prev_label(label)) == (above, below)
+
+
+@given(
+    raw_windows(),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 12)), min_size=1, max_size=3),
+)
+@example((7, 1, {1: (1, 5)}), [(10, 1)])  # granule 2 straddles the frame [10, 11]
+def test_walk_label_sets_match_instants(raw, pieces):
+    # a frame granule of up to three pieces has gaps, and a source granule
+    # with holes can straddle one; the walk asks for both label sets
+    rep, brute = PeriodicRep(*raw), Brute(*raw)
+    instants = {t for lo, width in pieces for t in range(lo, lo + width + 1)}
+    frame = runs_from(instants)
+    meeting = sorted({brute.up(t) for t in instants} - {None})
+    inside = [a for a in meeting if set(brute.granule(a)) <= instants]
+    assert rep._labels_in(frame, True) == meeting
+    assert rep._labels_in(frame, False) == inside
 
 
 def brute_minimal_period(period, step, brute):
@@ -250,7 +273,7 @@ def test_week_parts_holes():
     assert [holes.up(t) for t in range(1, 9)] == [1, None, 1, None, 1, None, 1, 2]
     assert holes.expand(2) == (8, 10, 12, 14)
     assert rep.expand(4) == (13, 14)
-    assert len(holes._cover_index()) == 4  # one entry per run, not per instant
+    assert len(holes._cover_index()) == 1  # one entry per granule, not per instant
 
 
 class TestMinuteBottom:
