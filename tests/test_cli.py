@@ -504,6 +504,8 @@ class TestOutputBytes:
         ("gregorian_doubled.cal",): "a86b336b83c4af12360981de79b9716fda8fca113b5edc663886c3503fe3286e",
         ("gregorian_doubled.cal", "--no-minimize"):
             "ebac9c50dcf4eb042b8347491d44e2f9a8454d5aaabfcd371903d44a1cfcbc22",
+        # gregorian.cal plus weeks, weekdays, business days and anchored weeks
+        ("gregorian_rich.cal",): "f15694ef6a7fdebea146d94682ab186edb137d64494cf3e0cddff13994e43333",
     }
 
     @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)

@@ -1,7 +1,14 @@
 """Per-operation conversion tests over small hand-built configurations with
 independently worked-out expected values, plus identity and failure cases."""
 
+import hashlib
+import json
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -31,10 +38,11 @@ from granlower.convert import (
     gstp_relabel,
     relabel,
 )
-from granlower.core import EmptyRep, PeriodicRep, mindist, normalize_alignment
+from granlower.core import EmptyRep, GranularityError, PeriodicRep, mindist, normalize_alignment
 from granlower.minimize import minimize
 
 from .conftest import scaled
+from .exprgen import ExprGen
 from .test_cli import FAILING, chain, deadline
 from .test_runs import raw_windows, runs_from
 
@@ -85,12 +93,12 @@ class TestGroup:
         assert expansion_equal(out, week_rep, range(-5, 6))
 
     def test_sparse_operand_rejected(self):
-        sunday = PeriodicRep(7, 7, {7: (7,)})
+        sunday = ast.SelectDown(7, 1, ast.Bottom(), ast.Group(7, ast.Bottom()))
         with pytest.raises(ConversionError):
-            convert_group(sunday, 2)
+            convert_expression(ast.Group(2, sunday))
 
     def test_empty_propagates(self):
-        assert convert_group(EmptyRep(), 3) == EmptyRep()
+        assert convert_expression(ast.Group(3, EMPTY)) == EmptyRep()
 
 
 class TestAlter:
@@ -117,8 +125,8 @@ class TestAlter:
         assert len(out.expand(3)) == 31 and len(out.expand(2)) == 30
         assert out.period == 361
 
-    def test_empty_base_is_empty(self, day_rep):
-        assert convert_alter(day_rep, EmptyRep(), 1, 1, 2) == EmptyRep()
+    def test_empty_base_is_empty(self):
+        assert convert_expression(ast.Alter(1, 1, 2, ast.Bottom(), EMPTY)) == EmptyRep()
 
     def test_change_zero_is_legal(self, week_rep):
         out = convert_alter(BOTTOM_REP, week_rep, 1, 0, 3)
@@ -331,9 +339,10 @@ class TestCombine:
         assert first[0] == 1 and first[-1] <= 30
         assert len(first) == len([d for d in range(1, 31) if (d - 1) % 7 < 5])
 
-    def test_empty_operand(self, week_rep):
-        assert convert_combine(EmptyRep(), week_rep) == EmptyRep()
-        assert convert_combine(week_rep, EmptyRep()) == EmptyRep()
+    def test_empty_operand(self):
+        week = ast.Group(7, ast.Bottom())
+        assert convert_expression(ast.Combine(EMPTY, week)) == EmptyRep()
+        assert convert_expression(ast.Combine(week, EMPTY)) == EmptyRep()
 
 
 class TestAnchored:
@@ -354,8 +363,8 @@ class TestAnchored:
         with pytest.raises(ConversionError, match="label-aligned"):
             convert_anchored(day_rep, week_rep)
 
-    def test_empty_anchors(self, day_rep):
-        assert convert_anchored(day_rep, EmptyRep()) == EmptyRep()
+    def test_empty_anchors(self):
+        assert convert_expression(ast.AnchoredGroup(ast.Bottom(), EMPTY)) == EmptyRep()
 
 
 class TestSubset:
@@ -376,9 +385,9 @@ class TestSubset:
         sunday = PeriodicRep(7, 7, {7: (7,)})
         assert convert_subset(sunday, 8, 13) == EmptyRep()
 
-    def test_inverted_rejected(self, week_rep):
+    def test_inverted_rejected(self):
         with pytest.raises(ConversionError):
-            convert_subset(week_rep, 9, 3)
+            convert_expression(ast.Subset(9, 3, ast.Group(7, ast.Bottom())))
 
 
 class TestSelectDown:
@@ -519,34 +528,238 @@ class TestSetOps:
         assert convert_set_op(us_week, us_week, "difference") == EmptyRep()
 
     def test_empty_identities(self, week_rep):
-        assert convert_set_op(EmptyRep(), week_rep, "union") == week_rep
-        assert convert_set_op(week_rep, EmptyRep(), "difference") == week_rep
-        assert convert_set_op(week_rep, EmptyRep(), "intersection") == EmptyRep()
+        week = ast.Group(7, ast.Bottom())
+        assert convert_expression(ast.Union(EMPTY, week)) == week_rep
+        assert convert_expression(ast.Difference(week, EMPTY)) == week_rep
+        assert convert_expression(ast.Intersection(week, EMPTY)) == EmptyRep()
+
+
+# what an empty, a bounded or a sparse operand makes of each operator's result
+EMPTY = ast.Difference(ast.Bottom(), ast.Bottom())
+KINDS = {
+    "empty": EMPTY,
+    "bounded": ast.Name("bounded"),  # subset(1, 100, day)
+    "sparse": ast.SelectDown(1, 1, ast.Bottom(), ast.Name("week")),  # monday
+}
+
+# keyword -> (scalars, operands that convert); each case swaps one operand
+OPERANDS = {
+    "group": ((2,), (ast.Bottom(),)),
+    "alter": ((1, 1, 2), (ast.Bottom(), ast.Name("week"))),
+    "shift": ((1,), (ast.Bottom(),)),
+    "combine": ((), (ast.Name("week"), ast.Bottom())),
+    "anchor": ((), (ast.Bottom(), ast.SelectDown(7, 1, ast.Bottom(), ast.Name("week")))),
+    "subset": ((1, 5), (ast.Bottom(),)),
+    "selectdown": ((1, 1), (ast.Bottom(), ast.Name("week"))),
+    "selectup": ((), (ast.Name("week"), ast.Bottom())),
+    "selectintersect": ((1, 1), (ast.Bottom(), ast.Name("week"))),
+    "union": ((), (ast.Bottom(), ast.Bottom())),
+    "intersect": ((), (ast.Bottom(), ast.Bottom())),
+    "difference": ((), (ast.Bottom(), ast.Bottom())),
+}
+
+DAY = "P=1 N=1 1:1"
+MONDAY = "P=7 N=7 1:1"
+BOUNDED = "P=1 N=1 1:1 bounds=1..100"
+
+
+def not_full(op):
+    return f"{op}: operand of {op} is not full-integer labeled (1 granules per window of 7)"
+
+
+def bounds(op):
+    return f"{op}: operand of {op} carries subset bounds"
+
+
+# (keyword, operand position or "both", kind) -> outcome
+OUTCOMES = {
+    ("group", 0, "empty"): "empty",
+    ("group", 0, "bounded"): bounds("group"),
+    ("group", 0, "sparse"): not_full("group"),
+    ("alter", 0, "empty"): "alter: alter unit is empty and cannot partition the base",
+    ("alter", 0, "bounded"): bounds("alter"),
+    ("alter", 0, "sparse"): not_full("alter"),
+    ("alter", 1, "empty"): "empty",
+    ("alter", 1, "bounded"): bounds("alter"),
+    ("alter", 1, "sparse"): not_full("alter"),
+    ("alter", "both", "empty"): "empty",
+    ("shift", 0, "empty"): "empty",
+    ("shift", 0, "bounded"): bounds("shift"),
+    ("shift", 0, "sparse"): not_full("shift"),
+    ("combine", 0, "empty"): "empty",
+    ("combine", 0, "bounded"): bounds("combine"),
+    ("combine", 0, "sparse"): MONDAY,
+    ("combine", 1, "empty"): "empty",
+    ("combine", 1, "bounded"): bounds("combine"),
+    ("combine", 1, "sparse"): "P=7 N=1 1:1",
+    ("combine", "both", "empty"): "empty",
+    ("anchor", 0, "empty"): "anchor: anchor granularity is not a subgranularity of an empty filler",
+    ("anchor", 0, "bounded"): bounds("anchor"),
+    ("anchor", 0, "sparse"): not_full("anchor"),
+    ("anchor", 1, "empty"): "empty",
+    ("anchor", 1, "bounded"): bounds("anchor"),
+    ("anchor", 1, "sparse"): "P=7 N=7 1:1,2,3,4,5,6,7",
+    ("anchor", "both", "empty"): "empty",
+    ("subset", 0, "empty"): "empty",
+    ("subset", 0, "bounded"): bounds("subset"),
+    ("subset", 0, "sparse"): MONDAY + " bounds=1..1",
+    ("selectdown", 0, "empty"): "empty",
+    ("selectdown", 0, "bounded"): bounds("selectdown"),
+    ("selectdown", 0, "sparse"): MONDAY,
+    ("selectdown", 1, "empty"): "empty",
+    ("selectdown", 1, "bounded"): bounds("selectdown"),
+    ("selectdown", 1, "sparse"): MONDAY,
+    ("selectdown", "both", "empty"): "empty",
+    ("selectup", 0, "empty"): "empty",
+    ("selectup", 0, "bounded"): bounds("selectup"),
+    ("selectup", 0, "sparse"): MONDAY,
+    ("selectup", 1, "empty"): "empty",
+    ("selectup", 1, "bounded"): bounds("selectup"),
+    ("selectup", 1, "sparse"): "P=7 N=1 1:1,2,3,4,5,6,7",
+    ("selectup", "both", "empty"): "empty",
+    ("selectintersect", 0, "empty"): "empty",
+    ("selectintersect", 0, "bounded"): bounds("selectintersect"),
+    ("selectintersect", 0, "sparse"): MONDAY,
+    ("selectintersect", 1, "empty"): "empty",
+    ("selectintersect", 1, "bounded"): bounds("selectintersect"),
+    ("selectintersect", 1, "sparse"): MONDAY,
+    ("selectintersect", "both", "empty"): "empty",
+    ("union", 0, "empty"): DAY,
+    ("union", 0, "bounded"): bounds("union"),
+    ("union", 0, "sparse"): DAY,
+    ("union", 1, "empty"): DAY,
+    ("union", 1, "bounded"): bounds("union"),
+    ("union", 1, "sparse"): DAY,
+    ("union", "both", "empty"): "empty",
+    # the intersection keeps its set-operation name in messages
+    ("intersect", 0, "empty"): "empty",
+    ("intersect", 0, "bounded"): bounds("intersection"),
+    ("intersect", 0, "sparse"): MONDAY,
+    ("intersect", 1, "empty"): "empty",
+    ("intersect", 1, "bounded"): bounds("intersection"),
+    ("intersect", 1, "sparse"): MONDAY,
+    ("intersect", "both", "empty"): "empty",
+    ("difference", 0, "empty"): "empty",
+    ("difference", 0, "bounded"): bounds("difference"),
+    ("difference", 0, "sparse"): "empty",
+    ("difference", 1, "empty"): DAY,
+    ("difference", 1, "bounded"): bounds("difference"),
+    ("difference", 1, "sparse"): "P=7 N=7 2:2 3:3 4:4 5:5 6:6 7:7",
+    ("difference", "both", "empty"): "empty",
+}
+
+E, B, S = KINDS["empty"], KINDS["bounded"], KINDS["sparse"]
+
+# the first check that fails picks the message: scalars, then empty operands
+# (a result beats an error), then preconditions (alter's base before its unit),
+# then the operands in order
+ORDER = [
+    (ast.Group(0, E), "group: group size must be positive, got 0"),
+    (ast.Alter(0, 1, 2, ast.Bottom(), E), "alter: alter needs 1 <= slot <= cycle, got 0, 2"),
+    (ast.Alter(3, 1, 2, E, B), "alter: alter needs 1 <= slot <= cycle, got 3, 2"),
+    (ast.Subset(9, 3, E), "subset: subset bounds 9..3 are inverted"),
+    (ast.Subset(9, 3, B), "subset: subset bounds 9..3 are inverted"),
+    (ast.SelectDown(0, 1, E, B), "selectdown: selection start must be nonzero"),
+    (ast.SelectIntersect(1, 0, B, E), "selectintersect: selection count must be positive"),
+    (ast.Alter(1, 1, 2, E, E), "empty"),
+    (ast.Alter(1, 1, 2, E, B), "alter: alter unit is empty and cannot partition the base"),
+    (ast.Alter(1, 1, 2, B, S), not_full("alter")),
+    (ast.Alter(1, 1, 2, S, B), bounds("alter")),
+    (ast.AnchoredGroup(E, E), "empty"),
+    (ast.AnchoredGroup(E, B), "anchor: anchor granularity is not a subgranularity of an empty filler"),
+    (ast.AnchoredGroup(B, E), "empty"),
+    (ast.AnchoredGroup(S, B), not_full("anchor")),
+    (ast.Combine(B, S), bounds("combine")),
+    (ast.Combine(S, B), bounds("combine")),
+    (ast.Union(B, E), BOUNDED),
+    (ast.Union(E, B), BOUNDED),
+    (ast.Difference(B, E), BOUNDED),
+    (ast.Difference(E, B), "empty"),
+    (ast.Intersection(B, E), "empty"),
+    (ast.Intersection(E, B), "empty"),
+    (ast.Group(2, ast.Subset(1, 5, ast.Group(0, ast.Bottom()))),
+     "group > subset: subset below the outermost operation"),
+    (ast.Union(ast.Group(0, ast.Bottom()), ast.Group(-1, ast.Bottom())),
+     "union > group: group size must be positive, got 0"),
+]
+
+
+def convert_with_names(expr):
+    """``expr`` converted as definition ``x`` after ``week = group(7, day)``
+    and ``bounded = subset(1, 100, day)``."""
+    day = ast.Bottom()
+    doc = ast.CalendarDoc("c", "day", (
+        ("week", ast.Group(7, day)),
+        ("bounded", ast.Subset(1, 100, day)),
+        ("x", expr),
+    ))
+    return convert_calendar(doc, ["x"])["x"]
+
+
+def outcome(expr) -> str:
+    """The result as ``P= N= label:bottoms...``, ``empty``, or the error."""
+    try:
+        rep = convert_with_names(expr)
+    except ConversionError as exc:
+        return f"{' > '.join(exc.path)}: {exc.message}"
+    if isinstance(rep, EmptyRep):
+        return "empty"
+    d = rep.to_json_dict()
+    text = f"P={d['P']} N={d['N']} " + " ".join(
+        f"{e['label']}:{','.join(map(str, e['bottoms']))}" for e in d["labels"]
+    )
+    if d["bounds"]:
+        text += f" bounds={d['bounds']['first']}..{d['bounds']['last']}"
+    return text
 
 
 class TestPreconditions:
     """Operand checks the parser or ``validate`` already rules out in calendar
-    text, reached by calling the converters directly."""
+    text, reached through a hand-built expression; the conversion driver is
+    the one place that checks them."""
 
     @pytest.mark.parametrize(
-        "convert_with, message",
+        "build, message",
         [
-            (lambda w: convert_group(w, 0), "group size must be positive, got 0"),
-            (lambda w: convert_alter(BOTTOM_REP, w, 0, 1, 2), "alter needs 1 <= slot <= cycle, got 0, 2"),
-            (lambda w: convert_alter(BOTTOM_REP, w, 3, 1, 2), "alter needs 1 <= slot <= cycle, got 3, 2"),
-            (lambda w: convert_anchored(EmptyRep(), w),
+            (lambda w: ast.Group(0, w), "group size must be positive, got 0"),
+            (lambda w: ast.Alter(0, 1, 2, ast.Bottom(), w), "alter needs 1 <= slot <= cycle, got 0, 2"),
+            (lambda w: ast.Alter(3, 1, 2, ast.Bottom(), w), "alter needs 1 <= slot <= cycle, got 3, 2"),
+            (lambda w: ast.AnchoredGroup(EMPTY, w),
              "anchor granularity is not a subgranularity of an empty filler"),
-            (lambda w: convert_group(convert_subset(w, 1, 5), 2), "operand of group carries subset bounds"),
-            (lambda w: convert_set_op(w, convert_subset(w, None, 5), "union"),
-             "operand of union carries subset bounds"),
+            (lambda w: ast.Group(2, ast.Name("bounded")), "operand of group carries subset bounds"),
+            (lambda w: ast.Union(w, ast.Name("bounded")), "operand of union carries subset bounds"),
         ],
         ids=["group_size", "alter_slot_low", "alter_slot_high", "empty_filler", "bounded_group",
              "bounded_union"],
     )
-    def test_rejected(self, week_rep, convert_with, message):
+    def test_rejected(self, build, message):
         with pytest.raises(ConversionError) as err:
-            convert_with(week_rep)
-        assert str(err.value) == message
+            convert_with_names(build(ast.Name("week")))
+        assert err.value.message == message
+
+
+class TestOperandRules:
+    """Every operator's empty-operand rule and operand preconditions, reached
+    through calendar conversion."""
+
+    @pytest.mark.parametrize("word, at, kind", list(OUTCOMES), ids=lambda v: str(v))
+    def test_outcome(self, word, at, kind):
+        cls = ast.OPERATORS[word][0]
+        scalars, operands = OPERANDS[word]
+        operands = [KINDS[kind] if at in (i, "both") else e for i, e in enumerate(operands)]
+        assert outcome(cls(*scalars, *operands)) == OUTCOMES[word, at, kind]
+
+    def test_every_operand_position_covered(self):
+        for word, (cls, _) in ast.OPERATORS.items():
+            n = len(OPERANDS[word][1])
+            assert n == len(cls.__match_args__) - len(OPERANDS[word][0])
+            for at in range(n):
+                assert all((word, at, kind) in OUTCOMES for kind in KINDS)
+            assert n == 1 or (word, "both", "empty") in OUTCOMES
+
+    @pytest.mark.parametrize("expr, expected", ORDER, ids=[ast.print_expr(e, "day") for e, _ in ORDER])
+    def test_first_failing_check_wins(self, expr, expected):
+        assert outcome(expr) == expected
 
 
 class TestRelabel:
@@ -786,3 +999,60 @@ class TestConvertCalendar:
                 rewrite_to_bottom(doc, name), minimize=minimize, cache=cache
             )
             assert reps[name] == closed, name
+
+
+class TestStandingChecks:
+    """Digests and counts that pin the converter's observable behaviour."""
+
+    # SHA-256 over seeds 0-7,999, minimize on then off: one line per seed
+    EXPRGEN_DIGEST = "bef2aa2d7b0fd8460f8a0e2b66773ef0f8eb301cf362b7dfbc174db6ef3efd81"
+
+    def test_exprgen_digest(self):
+        digest = hashlib.sha256()
+        for minimize_flag in (True, False):
+            for seed in range(8000):
+                rng = random.Random(seed)
+                expr = ExprGen(rng).top_level(rng.randint(1, 4))
+                try:
+                    rep = convert_expression(expr, minimize=minimize_flag, max_period=5000)
+                    line = repr(rep.to_json_dict())
+                except (ConversionError, GranularityError) as exc:
+                    line = f"{type(exc).__name__}: {exc}"
+                digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.EXPRGEN_DIGEST
+
+    # span calls per fixture, and the driver calls that hit the cache
+    SPANS = {
+        "basic": ({"driver": 53, "alter": 2, "anchored": 1, "combine": 1, "group": 3,
+                   "select_down": 6, "select_intersect": 1, "select_up": 1, "set_op": 3,
+                   "shift": 1, "subset": 1}, 32),
+        "toyleap": ({"driver": 16, "alter": 2, "group": 2, "select_down": 1,
+                     "select_intersect": 1}, 9),
+        "gregorian": ({"driver": 37, "alter": 11, "group": 2}, 23),
+    }
+
+    @pytest.mark.parametrize("fixture", list(SPANS))
+    def test_tracer_sees_the_driver(self, fixtures_dir, fixture):
+        # the benchmark's tracer patches module globals, so it runs in a
+        # process of its own
+        root = pathlib.Path(__file__).parents[1]
+        script = (
+            "import json, sys\n"
+            "from perfbench import tracing\n"
+            "from granlower.algebra import parse_calendar\n"
+            "from granlower.convert import convert_calendar\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "convert_calendar(parse_calendar(open(sys.argv[1]).read()))\n"
+            "summary = tracer.summary()\n"
+            "print(json.dumps([summary['calls'], summary['counters']['convert.cache_hits']]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(fixtures_dir / f"{fixture}.cal")],
+            capture_output=True, text=True, timeout=60, cwd=root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls, hits = json.loads(proc.stdout)
+        spans = {name.split(".", 1)[1]: n for name, n in calls.items() if name.startswith("convert.")}
+        assert (spans, hits) == self.SPANS[fixture]
