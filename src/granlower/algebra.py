@@ -217,6 +217,7 @@ class CalendarDoc(Record):
 # parsing
 
 KEYWORDS = {"calendar", "bottom", "inf", *OPERATORS}
+MAX_LITERAL_DIGITS = 1000  # the most digits an integer literal may have, sign aside
 
 _TOKENS = r"[A-Za-z_][A-Za-z0-9_-]*|[(),;=]|-?[0-9]+|-inf\b"
 
@@ -303,7 +304,10 @@ class _Parser:
         return name
 
     def integer(self) -> int:
-        return int(self.take("int", "an integer"))
+        tok = self.take("int", "an integer")
+        if len(tok.lstrip("-")) > MAX_LITERAL_DIGITS:
+            raise self.error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", self.pos - 1)
+        return int(tok)
 
     def positive(self, what: str) -> int:
         at = self.pos

@@ -87,20 +87,6 @@ def _cap(period: int, max_period: int) -> int:
     return period
 
 
-def _require_full_integer(rep: PeriodicRep, op: str) -> None:
-    _require_unbounded(rep, op)
-    if len(rep.explicit) != rep.step:
-        raise ConversionError(
-            f"operand of {op} is not full-integer labeled "
-            f"({len(rep.explicit)} granules per window of {rep.step})"
-        )
-
-
-def _require_unbounded(rep: Rep, op: str) -> None:
-    if isinstance(rep, PeriodicRep) and rep.bounds is not None:
-        raise ConversionError(f"operand of {op} carries subset bounds")
-
-
 def _frame(g1: PeriodicRep, g2: PeriodicRep, max_period: int) -> tuple[int, int]:
     # the common period, and the labels of g1 it spans
     period = _cap(math.lcm(g1.period, g2.period), max_period)
@@ -125,12 +111,7 @@ def _walk(frame: PeriodicRep, source: PeriodicRep, period: int, touch: bool) -> 
 # grouping-oriented operations
 
 
-def convert_group(g: Rep, size: int, max_period: int = DEFAULT_MAX_PERIOD) -> Rep:
-    if size < 1:
-        raise ConversionError(f"group size must be positive, got {size}")
-    if isinstance(g, EmptyRep):
-        return g
-    _require_full_integer(g, "group")
+def convert_group(g: PeriodicRep, size: int, max_period: int = DEFAULT_MAX_PERIOD) -> Rep:
     d = math.gcd(size, g.step)
     period = _cap(g.period * size // d, max_period)
     step = g.step // d
@@ -153,21 +134,13 @@ def _alter_period(step: int, p1: int, n1: int, p2: int, n2: int, change: int, cy
 
 
 def convert_alter(
-    unit: Rep,
-    base: Rep,
+    unit: PeriodicRep,
+    base: PeriodicRep,
     slot: int,
     change: int,
     cycle: int,
     max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Rep:
-    if not 1 <= slot <= cycle:
-        raise ConversionError(f"alter needs 1 <= slot <= cycle, got {slot}, {cycle}")
-    if isinstance(base, EmptyRep):
-        return base
-    if isinstance(unit, EmptyRep):
-        raise ConversionError("alter unit is empty and cannot partition the base")
-    _require_full_integer(base, "alter")
-    _require_full_integer(unit, "alter")
     p1, n1 = base.period, base.step
     p2, n2 = unit.period, unit.step
     # one pass over a common period both checks the partition and finds each
@@ -213,21 +186,14 @@ def convert_alter(
     return normalize_alignment(raw, period, step)
 
 
-def convert_shift(g: Rep, offset: int) -> Rep:
-    if isinstance(g, EmptyRep):
-        return g
-    _require_full_integer(g, "shift")
+def convert_shift(g: PeriodicRep, offset: int) -> Rep:
     raw = {a + offset: runs for a, runs in g._runs.items()}
     return normalize_alignment(raw, g.period, g.step)
 
 
 def convert_combine(
-    container: Rep, pieces: Rep, max_period: int = DEFAULT_MAX_PERIOD
+    container: PeriodicRep, pieces: PeriodicRep, max_period: int = DEFAULT_MAX_PERIOD
 ) -> Rep:
-    if isinstance(container, EmptyRep) or isinstance(pieces, EmptyRep):
-        return EmptyRep()
-    _require_unbounded(container, "combine")
-    _require_unbounded(pieces, "combine")
     period, step = _frame(container, pieces, max_period)
     walk = _walk(container, pieces, period, False)
     raw = {i: join_runs(map(pieces.runs_of, inside)) for i, _, inside in walk if inside}
@@ -235,14 +201,8 @@ def convert_combine(
 
 
 def convert_anchored(
-    filler: Rep, anchors: Rep, max_period: int = DEFAULT_MAX_PERIOD
+    filler: PeriodicRep, anchors: PeriodicRep, max_period: int = DEFAULT_MAX_PERIOD
 ) -> Rep:
-    if isinstance(anchors, EmptyRep):
-        return EmptyRep()
-    if isinstance(filler, EmptyRep):
-        raise ConversionError("anchor granularity is not a subgranularity of an empty filler")
-    _require_full_integer(filler, "anchor")
-    _require_unbounded(anchors, "anchor")
     # a common period of anchor labels, plus the next one to end the last granule
     labels = anchors.lhat(math.lcm(filler.period, anchors.period))
     labels.append(anchors.next_label(labels[-1]))
@@ -262,12 +222,7 @@ def convert_anchored(
 # granule-oriented operations
 
 
-def convert_subset(g: Rep, lo: int | None, hi: int | None) -> Rep:
-    if lo is not None and hi is not None and lo > hi:
-        raise ConversionError(f"subset bounds {lo}..{hi} are inverted")
-    if isinstance(g, EmptyRep):
-        return g
-    _require_unbounded(g, "subset")
+def convert_subset(g: PeriodicRep, lo: int | None, hi: int | None) -> Rep:
     first = None if lo is None else g.next_label(lo - 1)
     last = None if hi is None else g.prev_label(hi + 1)
     if first is not None and last is not None and first > last:
@@ -278,17 +233,9 @@ def convert_subset(g: Rep, lo: int | None, hi: int | None) -> Rep:
 
 
 def _select(
-    source: Rep, frame: Rep, start: int, count: int, max_period: int, op: str, touch: bool
+    source: PeriodicRep, frame: PeriodicRep, start: int, count: int, max_period: int, touch: bool
 ) -> Rep:
     # selectdown picks among the contained granules, selectintersect the touching ones
-    try:
-        delta_select((), start, count)
-    except ValueError as exc:
-        raise ConversionError(str(exc)) from None
-    if isinstance(source, EmptyRep) or isinstance(frame, EmptyRep):
-        return EmptyRep()
-    _require_unbounded(source, op)
-    _require_unbounded(frame, op)
     period, step = _frame(source, frame, max_period)
     kept: set[int] = set()
     for _, _, found in _walk(frame, source, period, touch):
@@ -297,45 +244,35 @@ def _select(
 
 
 def convert_select_down(
-    source: Rep, container: Rep, start: int, count: int,
+    source: PeriodicRep, container: PeriodicRep, start: int, count: int,
     max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Rep:
-    return _select(source, container, start, count, max_period, "selectdown", False)
+    return _select(source, container, start, count, max_period, False)
 
 
 def convert_select_up(
-    source: Rep, witness: Rep, max_period: int = DEFAULT_MAX_PERIOD
+    source: PeriodicRep, witness: PeriodicRep, max_period: int = DEFAULT_MAX_PERIOD
 ) -> Rep:
-    if isinstance(source, EmptyRep) or isinstance(witness, EmptyRep):
-        return EmptyRep()
-    _require_unbounded(source, "selectup")
-    _require_unbounded(witness, "selectup")
     period, step = _frame(source, witness, max_period)
     raw = {i: granule for i, granule, inside in _walk(source, witness, period, False) if inside}
     return normalize_alignment(raw, period, step)
 
 
 def convert_select_intersect(
-    source: Rep, probe: Rep, start: int, count: int,
+    source: PeriodicRep, probe: PeriodicRep, start: int, count: int,
     max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Rep:
-    return _select(source, probe, start, count, max_period, "selectintersect", True)
+    return _select(source, probe, start, count, max_period, True)
 
 
 _SET_OPS = {"union": set.union, "intersection": set.intersection, "difference": set.difference}
 
 
 def convert_set_op(
-    left: Rep, right: Rep, which: str, max_period: int = DEFAULT_MAX_PERIOD
+    left: PeriodicRep, right: PeriodicRep, which: str, max_period: int = DEFAULT_MAX_PERIOD
 ) -> Rep:
     if which not in _SET_OPS:
         raise ValueError(f"unknown set operation {which!r}")
-    if isinstance(left, EmptyRep):
-        return right if which == "union" else EmptyRep()
-    if isinstance(right, EmptyRep):
-        return EmptyRep() if which == "intersection" else left
-    _require_unbounded(left, which)
-    _require_unbounded(right, which)
     if left.step * right.period != right.step * left.period:
         raise ConversionError(
             "set operation operands have different label densities "
@@ -406,8 +343,58 @@ def gstp_relabel(g: Rep) -> Rep:
     return relabel(g, first if g._runs[first][0][0] > 0 else g.next_label(first), 1)
 
 
+
+
 # ---------------------------------------------------------------------------
-# the recursive driver
+# the operator table and the driver
+
+MAX_NESTING = 1000  # the deepest operator nesting convert_expression converts
+
+
+def _selection_error(node) -> str | None:
+    try:
+        delta_select((), node.start, node.count)
+    except ValueError as exc:
+        return str(exc)
+
+
+_UNBOUNDED = ((0, False), (1, False))
+
+# node class -> (name, check, convert, empty, pre), how the driver converts it:
+# - name: the operator in error paths and precondition messages;
+# - check: the node's scalar error message or a false value, if it has scalars;
+# - convert: (node, operands, max_period) -> Rep, looking the converter up as
+#   a module global when it runs, so that a wrapper installed there sees it;
+# - empty: per operand, what an empty one makes of the result: the operand
+#   at an index (its own for an empty result), or an error's text;
+# - pre: (operand index, full-integer as well as unbounded?), in check order.
+_TABLE = {
+    ast.Bottom: ("bottom", None, lambda e, o, cap: BOTTOM_REP, (), ()),
+    ast.Group: ("group", lambda e: e.size < 1 and f"group size must be positive, got {e.size}",
+                lambda e, o, cap: convert_group(*o, e.size, cap), (0,), ((0, True),)),
+    ast.Alter: ("alter", lambda e: not 1 <= e.slot <= e.cycle
+                and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
+                lambda e, o, cap: convert_alter(*o, e.slot, e.change, e.cycle, cap),
+                ("alter unit is empty and cannot partition the base", 1), ((1, True), (0, True))),
+    ast.Shift: ("shift", None, lambda e, o, cap: convert_shift(*o, e.offset), (0,), ((0, True),)),
+    ast.Combine: ("combine", None, lambda e, o, cap: convert_combine(*o, cap), (0, 1), _UNBOUNDED),
+    ast.AnchoredGroup: ("anchor", None, lambda e, o, cap: convert_anchored(*o, cap), (
+        "anchor granularity is not a subgranularity of an empty filler", 1), ((0, True), (1, False))),
+    ast.Subset: ("subset", lambda e: None not in (e.lo, e.hi) and e.lo > e.hi
+                 and f"subset bounds {e.lo}..{e.hi} are inverted",
+                 lambda e, o, cap: convert_subset(*o, e.lo, e.hi), (0,), ((0, False),)),
+    ast.SelectDown: ("selectdown", _selection_error, lambda e, o, cap: convert_select_down(
+        *o, e.start, e.count, cap), (0, 1), _UNBOUNDED),
+    ast.SelectUp: ("selectup", None, lambda e, o, cap: convert_select_up(*o, cap), (0, 1), _UNBOUNDED),
+    ast.SelectIntersect: ("selectintersect", _selection_error, lambda e, o, cap: convert_select_intersect(
+        *o, e.start, e.count, cap), (0, 1), _UNBOUNDED),
+    ast.Union: ("union", None, lambda e, o, cap: convert_set_op(*o, "union", cap), (1, 0), _UNBOUNDED),
+    # the intersection keeps the set-operation name convert_set_op knows it by
+    ast.Intersection: ("intersection", None, lambda e, o, cap: convert_set_op(
+        *o, "intersection", cap), (0, 1), _UNBOUNDED),
+    ast.Difference: ("difference", None, lambda e, o, cap: convert_set_op(
+        *o, "difference", cap), (0, 0), _UNBOUNDED),
+}
 
 
 def convert_expression(
@@ -425,16 +412,76 @@ def convert_expression(
     conversion.  ``cache`` maps already-converted subexpressions (by
     structural equality) to their representations; reuse it across calls
     only with an unchanged ``minimize`` flag.  A ``Name`` node is allowed
-    only where ``cache`` binds it, as :func:`convert_calendar` does.  An
-    expression nested too deeply for the call stack raises
-    :class:`ConversionError`.
+    only where ``cache`` binds it, as :func:`convert_calendar` does.  The
+    walk keeps its own stack; an operator nested more than
+    :data:`MAX_NESTING` deep raises :class:`ConversionError`.
     """
     if cache is None:
         cache = {}
+    done: list[Rep] = []  # converted operands, in post-order
+    # (node, path above it, None) reaches a node; (node, its path, len(done))
+    # finishes it once its operands are converted
+    stack: list = [(expr, (), None)]
+    while stack:
+        node, path, mark = stack.pop()
+        if mark is not None:
+            operands = done[mark:]
+            del done[mark:]
+            done.append(_convert(node, minimize, cache, max_period, path, operands))
+        elif node in cache:
+            done.append(_convert(node, minimize, cache, max_period))
+        else:
+            row = _TABLE.get(type(node))
+            if row is None:
+                raise ConversionError(
+                    f"expression still references {node.name!r}; rewrite it to the bottom first"
+                    if isinstance(node, ast.Name) else f"not a calendar expression: {node!r}",
+                    path,
+                )
+            here = path + (row[0],)
+            if type(node) is ast.Subset and path:
+                raise ConversionError("subset below the outermost operation", here)
+            arity = len(row[3])
+            if arity and len(here) > MAX_NESTING:
+                raise ConversionError("expression nested too deeply to convert")
+            stack.append((node, here, len(done)))
+            stack.extend((e, here, None) for e in reversed(node[len(node) - arity :]))
+    return done[0]
+
+
+def _convert(expr, minimize, cache, max_period, here=(), operands=None):
+    """One node reference: without ``operands``, its cached rep; with them,
+    the node converted from its converted operands, minimized and cached.
+    The first check that fails names the error: the scalars, then the empty
+    operands, then the operand preconditions."""
+    if operands is None:
+        return cache[expr]
+    name, check, convert, empty, pre = _TABLE[type(expr)]
     try:
-        return _convert(expr, minimize, cache, max_period, root=True, path=())
-    except RecursionError:
-        raise ConversionError("expression nested too deeply to convert") from None
+        if check and (message := check(expr)):
+            raise ConversionError(message)
+        # the last empty operand decides; error texts come first in every
+        # row, so a result beats an error
+        ruled = [rule for rule, rep in zip(empty, operands) if isinstance(rep, EmptyRep)]
+        if ruled:
+            if isinstance(ruled[-1], str):
+                raise ConversionError(ruled[-1])
+            result = operands[ruled[-1]]
+        else:
+            for i, full in pre:
+                rep = operands[i]
+                if rep.bounds is not None:
+                    raise ConversionError(f"operand of {name} carries subset bounds")
+                if full and len(rep.explicit) != rep.step:
+                    raise ConversionError(f"operand of {name} is not full-integer labeled "
+                                          f"({len(rep.explicit)} granules per window of {rep.step})")
+            result = convert(expr, operands, max_period)
+    except ConversionError as exc:
+        raise ConversionError(exc.message, here) from None
+    if minimize and operands:
+        result = minimize_rep(result)
+    cache[expr] = result
+    return result
 
 
 def convert_calendar(
@@ -464,68 +511,3 @@ def convert_calendar(
             raise
         cache[ast.Name(name)] = reps[name]
     return {name: reps[name] for name in names}
-
-
-# operation names in error paths: the keywords, except that the
-# intersection keeps the set-operation name convert_set_op knows it by
-_OP_NAMES = {
-    ast.Bottom: "bottom",
-    **{cls: word for word, (cls, _) in ast.OPERATORS.items()},
-    ast.Intersection: "intersection",
-}
-
-
-def _convert(expr, minimize, cache, max_period, root, path):
-    if expr in cache:
-        return cache[expr]
-    name = _OP_NAMES.get(type(expr))
-    if name is None:
-        if isinstance(expr, ast.Name):
-            raise ConversionError(
-                f"expression still references {expr.name!r}; rewrite it to the bottom first",
-                path,
-            )
-        raise ConversionError(f"not a calendar expression: {expr!r}", path)
-    here = path + (name,)
-
-    def conv(sub):
-        return _convert(sub, minimize, cache, max_period, False, here)
-
-    try:
-        match expr:
-            case ast.Bottom():
-                result = BOTTOM_REP
-            case ast.Group(size, e):
-                result = convert_group(conv(e), size, max_period)
-            case ast.Alter(slot, change, cycle, unit, base):
-                result = convert_alter(conv(unit), conv(base), slot, change, cycle, max_period)
-            case ast.Shift(offset, e):
-                result = convert_shift(conv(e), offset)
-            case ast.Combine(container, pieces):
-                result = convert_combine(conv(container), conv(pieces), max_period)
-            case ast.AnchoredGroup(filler, anchors):
-                result = convert_anchored(conv(filler), conv(anchors), max_period)
-            case ast.Subset(lo, hi, e):
-                if not root:
-                    raise ConversionError("subset below the outermost operation", here)
-                result = convert_subset(conv(e), lo, hi)
-            case ast.SelectDown(start, count, source, container):
-                result = convert_select_down(conv(source), conv(container), start, count, max_period)
-            case ast.SelectUp(source, witness):
-                result = convert_select_up(conv(source), conv(witness), max_period)
-            case ast.SelectIntersect(start, count, source, probe):
-                result = convert_select_intersect(conv(source), conv(probe), start, count, max_period)
-            case ast.Union(a, b):
-                result = convert_set_op(conv(a), conv(b), "union", max_period)
-            case ast.Intersection(a, b):
-                result = convert_set_op(conv(a), conv(b), "intersection", max_period)
-            case ast.Difference(a, b):
-                result = convert_set_op(conv(a), conv(b), "difference", max_period)
-    except ConversionError as exc:
-        if exc.path:
-            raise
-        raise ConversionError(exc.message, here) from None
-    if minimize and not isinstance(expr, ast.Bottom):
-        result = minimize_rep(result)
-    cache[expr] = result
-    return result

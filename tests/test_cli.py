@@ -177,6 +177,25 @@ class TestConvert:
             "in position 23: invalid start byte\n",
         )
 
+    @pytest.mark.parametrize("command", ["convert", "verify"])
+    @pytest.mark.parametrize("digits", [1001, 4301])
+    def test_overlong_literal_exit_2(self, capsys, tmp_path, command, digits):
+        # past 4,300 digits the interpreter no longer converts the literal
+        path = tmp_path / "big.cal"
+        path.write_text(f"calendar c bottom day;\nx = shift({'9' * digits}, day);\n")
+        assert run(capsys, command, str(path)) == (
+            2, "", f"{path}:2:11: integer literal longer than 1000 digits\n"
+        )
+
+    def test_longest_literal_parses(self, capsys, tmp_path):
+        # the sign is not a digit
+        path = tmp_path / "big.cal"
+        path.write_text(f"calendar c bottom day;\nx = shift(-{'9' * 1000}, day);\n")
+        code, out, err = run(capsys, "convert", str(path))
+        assert code == 0, err
+        (entry,) = json.loads(out)["granularities"]
+        assert entry["rep"]["labels"] == [{"label": 2 - 10**1000, "bottoms": [1]}]
+
     def test_usage_error_exit_1(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
@@ -664,37 +683,35 @@ class TestDeepDefinitions:
         [("shift(1, ", ")"), ("selectdown(1, 1, ", ", day)")],
         ids=["shift", "selectdown"],
     )
-    def test_nesting_too_deep_to_convert_exits_3(self, tmp_path, head, tail):
-        # conversion starts deeper in the stack than parsing, so on some
-        # interpreters a nesting just below the parser's limit parses but
-        # does not convert
-        path = tmp_path / "nested.cal"
+    def test_deepest_nestings_that_parse_convert(self, tmp_path, head, tail):
+        # conversion keeps its own stack, so every nesting that parses also
+        # converts, verifies and answers queries, on every interpreter
         src = str(pathlib.Path(cli.__file__).parents[1])
+        argvs = {
+            "convert": [], "verify": [], "up": ["x", "--instant", "5"], "expand": ["x", "--labels", "1..3"],
+        }
 
-        def outcome(command, depth):
+        def outcomes(depth, commands):
+            path = tmp_path / f"nested{depth}.cal"
             path.write_text("calendar c bottom day;\nx = " + head * depth + "day" + tail * depth + ";\n")
-            proc = subprocess.run(
-                [sys.executable, "-m", "granlower.cli", command, str(path)],
-                capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-            )
-            return proc.returncode, proc.stderr
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "granlower.cli", command, str(path), *argvs[command]],
+                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                    env=dict(os.environ, PYTHONPATH=src),
+                )
+                for command in commands
+            ]
+            errs = [p.communicate(timeout=60)[1] for p in procs]
+            return {c: (p.returncode, err) for c, p, err in zip(commands, procs, errs)}
 
         # the last depth that parses: 300 does, 600 does not (see above)
         lo, hi = 300, 600
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if outcome("convert", mid)[0] != 2 else (lo, mid)
-        expected = (3, "granlower: x: expression nested too deeply to convert\n")
-        found = 0
+            lo, hi = (mid, hi) if outcomes(mid, ["convert"])["convert"][0] != 2 else (lo, mid)
         for depth in range(lo, lo - 10, -1):
-            code, err = outcome("convert", depth)
-            if code == 0:
-                break
-            assert "Traceback" not in err and (code, err) == expected, depth
-            assert outcome("verify", depth) == expected, depth
-            found += 1
-        if not found:
-            pytest.skip("every nesting that parses converts on this interpreter")
+            assert outcomes(depth, list(argvs)) == dict.fromkeys(argvs, (0, "")), depth
 
 
 def nested_shifts(n: int) -> str:

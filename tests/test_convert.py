@@ -899,6 +899,24 @@ class TestConvertExpression:
         assert (err.value.path, err.value.definition) == ((), None)
 
 
+    def test_nesting_limit_holds_deep_in_the_stack(self):
+        def shifts(n):
+            expr = ast.Bottom()
+            for _ in range(n):
+                expr = ast.Shift(1, expr)
+            return expr
+
+        def under_frames(n, fn):
+            return under_frames(n - 1, fn) if n else fn()
+
+        deepest = convert.MAX_NESTING
+        rep = under_frames(300, lambda: convert_expression(shifts(deepest)))
+        assert rep == PeriodicRep(1, 1, {deepest + 1: (1,)})
+        with pytest.raises(ConversionError) as err:
+            under_frames(300, lambda: convert_expression(shifts(deepest + 1)))
+        assert (err.value.message, err.value.path) == ("expression nested too deeply to convert", ())
+
+
 class TestConvertCalendar:
     @pytest.mark.parametrize("op, n", [("union", 300), ("shift", 5000)])
     def test_deep_chain(self, op, n):
