@@ -7,10 +7,12 @@ and assemble those granules' contents.  The raw labeled granules are then
 re-anchored with :func:`granlower.core.normalize_alignment`, so every
 converter output is aligned to bottom instant 1.
 
-:func:`convert_expression` drives the recursion over an expression, caching
-converted subexpressions by structural equality and optionally interleaving
-period minimization after every operation; :func:`convert_calendar` converts
-a calendar one definition at a time, resolving names through that cache.
+:func:`convert_expression` walks an expression with its own stack.  One
+table, keyed by node class, gives each operator's scalar check, empty-operand
+rule and operand preconditions, which the walk applies before the converter
+runs; converted subexpressions are cached by structural equality, and period
+minimization optionally follows every operation.  :func:`convert_calendar`
+converts one definition at a time, resolving names through that cache.
 """
 
 from __future__ import annotations
@@ -341,8 +343,6 @@ def gstp_relabel(g: Rep) -> Rep:
     # is its first stored label
     first = g.first_label
     return relabel(g, first if g._runs[first][0][0] > 0 else g.next_label(first), 1)
-
-
 
 
 # ---------------------------------------------------------------------------
