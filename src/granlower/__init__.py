@@ -27,13 +27,18 @@ from .core import (
     normalize_alignment,
 )
 from .minimize import is_valid_reduction, minimize
-from .oracle import (
-    Definitions,
-    WindowEval,
-    compare_with_periodic,
-    eval_window,
-    verify_against_oracle,
-)
+
+_ORACLE_NAMES = ("Definitions", "WindowEval", "compare_with_periodic", "eval_window", "verify_against_oracle")
+
+
+def __getattr__(name: str):
+    # the oracle's names load on first use, so only its callers compile it
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return globals().setdefault(name, getattr(oracle, name))
+
 
 __all__ = [
     "CalendarDoc",

@@ -21,7 +21,6 @@ periods so pathological lcm blowups fail fast.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -37,13 +36,22 @@ from .algebra import (
 )
 from .convert import DEFAULT_MAX_PERIOD, ConversionError, convert_calendar, gstp_relabel
 from .core import EmptyRep, PeriodicRep, Rep
-from .oracle import Definitions, verify_against_oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_CONVERT = 3
 EXIT_VERIFY = 4
+
+
+def __getattr__(name: str):
+    # the oracle is compiled only when verify, or a caller that reads (or
+    # wraps) these names here, needs it; a binding set here (a wrapper) wins
+    if name not in ("Definitions", "verify_against_oracle"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return globals().setdefault(name, getattr(oracle, name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,39 +113,45 @@ def _convert_all(doc, names, minimize: bool, gstp: bool):
     return [(name, reps[name]) for name in names]
 
 
-@functools.lru_cache(maxsize=2)
-def _block_template(sep: str) -> str:
-    # the entries "\0" + f"{j:03d}" + sep for j = 0..999; _block writes k in
-    # place of each "\0" (no separator holds one)
-    return "".join(f"\0{j:03d}{sep}" for j in range(1000))
+class _Joiner:
+    """Joins the indices of ``(start, end)`` runs with ``sep``.
 
+    From 1000 up, the numbers of a block [1000k, 1000k + 999] all have the
+    same width, so each run is sliced out of its blocks' text: Python-level
+    work is per run or per 1,000 indices, not per index, and a run inside
+    one block is one slice.  One joiner serves one render and holds only the
+    block it built last.
+    """
 
-@functools.lru_cache(maxsize=1)
-def _block(k: int, sep: str) -> str:
-    """``1000k``, ..., ``1000k + 999``, each followed by ``sep`` (``k >= 1``)."""
-    return _block_template(sep).replace("\0", str(k))
+    def __init__(self, sep: str):
+        self.sep = sep
+        # the held block's first index, text and entry width; the loop in
+        # join asks only for indices from 1000 up, so base 0 holds no block
+        self.held = (0, "", 0)
+        self.parts = None  # "", "000" + sep, ..., "999" + sep, built on first use
 
+    def _hold(self, base: int) -> tuple[int, str, int]:
+        if self.parts is None:
+            self.parts = ["", *(f"{j:03d}{self.sep}" for j in range(1000))]
+        block = str(base // 1000).join(self.parts)
+        self.held = base, block, len(block) // 1000
+        return self.held
 
-def _join_runs(runs, sep: str) -> str:
-    # the indices of (start, end) runs, joined by sep.  From 1000 up, the
-    # numbers of a block [1000k, 1000k + 999] all have the same width, so a
-    # run is sliced out of its blocks' text: Python-level work is per run or
-    # per 1,000 indices, not per index
-    parts = []
-    for s, e in runs:
-        if s < 1000:
-            parts.append(sep.join(map(str, range(s, min(e, 999) + 1))) + sep)
-            s = 1000
-        for k in range(s // 1000, e // 1000 + 1):
-            block = _block(k, sep)
-            width = len(block) // 1000
-            lo = max(s - 1000 * k, 0)
-            hi = min(e - 1000 * k, 999)
-            parts.append(block[lo * width : (hi + 1) * width])
-    if not parts:
-        return ""
-    parts[-1] = parts[-1][: len(parts[-1]) - len(sep)]
-    return "".join(parts)
+    def join(self, runs) -> str:
+        sep = self.sep
+        base, block, width = self.held
+        parts = []
+        for s, e in runs:
+            if s < 1000:  # below 1000, negatives too, widths vary: one str per index
+                parts.append(sep.join(map(str, range(s, min(e, 999) + 1))))
+                s = 1000
+            while s <= e:
+                if not base <= s < base + 1000:
+                    base, block, width = self._hold(s - s % 1000)
+                stop = e + 1 if e < base + 1000 else base + 1000
+                parts.append(block[(s - base) * width : (stop - base) * width - len(sep)])
+                s = stop
+        return sep.join(parts)
 
 
 def _stored_runs(rep: PeriodicRep):
@@ -147,6 +161,7 @@ def _stored_runs(rep: PeriodicRep):
 
 def _render_text(reps, out) -> None:
     # whole granules in batches, as _render_json writes them
+    join = _Joiner(" ").join
     batch, size = [], 0
     for i, (name, rep) in enumerate(reps):
         batch.append(("\n\n" if i else "") + f"granularity {name}")
@@ -160,7 +175,7 @@ def _render_text(reps, out) -> None:
             bounds = f"{'-inf' if lo is None else lo}..{'+inf' if hi is None else hi}"
         suffix = f" | P={rep.period} N={rep.step} bounds={bounds}"
         for label, runs in _stored_runs(rep):
-            line = f"\n{label}: {_join_runs(runs, ' ')}{suffix}"
+            line = f"\n{label}: {join(runs)}{suffix}"
             batch.append(line)
             size += len(line)
             if size >= _BATCH_CHARS:
@@ -200,6 +215,7 @@ def _render_json(doc, reps, out) -> None:
     if not reps:
         out.write(head + '  "granularities": []\n}\n')
         return
+    join = _Joiner(_BOTTOMS_SEP).join
     batch, size = [head, '  "granularities": ['], 0
     for i, (name, rep) in enumerate(reps):
         batch.append(f'{"," if i else ""}\n    {{\n      "name": "{name}",\n      "rep": {{\n')
@@ -210,7 +226,7 @@ def _render_json(doc, reps, out) -> None:
         for j, (label, runs) in enumerate(_stored_runs(rep)):
             granule = (
                 f'{"," if j else ""}\n          {{\n            "label": {label},\n'
-                f'            "bottoms": [\n              {_join_runs(runs, _BOTTOMS_SEP)}\n'
+                f'            "bottoms": [\n              {join(runs)}\n'
                 "            ]\n          }"
             )
             batch.append(granule)
@@ -252,9 +268,10 @@ def cmd_expand(args) -> int:
     doc = _load(args.file)
     ((_, rep),) = _convert_all(doc, [args.name], True, False)
     lo, hi = _parse_label_range(args.labels)
+    join = _Joiner(" ").join
     for label in range(lo, hi + 1):
         runs = rep.runs_of(label) if isinstance(rep, PeriodicRep) else ()
-        print(f"{label}: {_join_runs(runs, ' ') if runs else 'empty'}")
+        print(f"{label}: {join(runs) if runs else 'empty'}")
     return EXIT_OK
 
 
@@ -293,11 +310,12 @@ def cmd_verify(args) -> int:
     # window >= 3 * every period, so every definition is scored on the same
     # interior; verifying it by name evaluates each definition once per window
     base = window // 3
-    definitions = Definitions(doc.definitions)
+    definitions = __getattr__("Definitions")(doc.definitions)
+    verify = __getattr__("verify_against_oracle")
     rng = random.Random(args.seed)
     failures = 0
     for name, rep in reps:
-        issues = verify_against_oracle(ast.Name(name), rep, base, definitions=definitions)
+        issues = verify(ast.Name(name), rep, base, definitions=definitions)
         probe = _spot_check(rep, rng, 1, base)
         if probe:
             issues.append(probe)

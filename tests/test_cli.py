@@ -278,6 +278,20 @@ class TestExpand:
                 for label in range(-2, 6)
             )
 
+    def test_negative_bottoms_match_per_index_join(self, capsys, tmp_path):
+        path = tmp_path / "saturday_weeks.cal"
+        path.write_text(SATURDAY_WEEKS)
+        week = dict(reference_reps(path)[1])["week"]
+        assert week.expand(-1) == tuple(range(-1, 6))
+        # "=": argparse reads a bare -1..6 as an option
+        code, out, err = run(capsys, "expand", str(path), "week", "--labels=-1..6")
+        assert code == 0, err
+        assert out == "".join(
+            f"{label}: {' '.join(str(x) for x in week.expand(label)) or 'empty'}\n"
+            for label in range(-1, 7)
+        )
+        assert out.startswith("-1: -1 0 1 2 3 4 5\n0: empty\n")
+
     def test_bad_range_exit_1(self, capsys, fixtures_dir):
         code, _, err = run(
             capsys, "expand", str(fixtures_dir / "basic.cal"), "week", "--labels", "3..1"
@@ -354,6 +368,14 @@ EDGES = (
     "one = subset(4, 4, day);\n"
     "pair = combine(group(14, day), selectdown(1, 1, day, week));\n"
 )
+
+# weeks from Saturday: label -1 holds the bottoms -1..5, so output starts
+# at indices of no fixed width below 0
+SATURDAY_WEEKS = (
+    "calendar saturdays bottom day;\n"
+    "week = anchor(day, selectdown(6, 1, day, group(7, day)));\n"
+)
+GENERATED = {"edges": EDGES, "saturday_weeks": SATURDAY_WEEKS}
 
 
 def chain(op: str, n: int) -> str:
@@ -474,10 +496,10 @@ class TestOutputBytes:
         assert out == reference_json(path, *flags)
 
     @pytest.mark.parametrize("flags", FLAGS[:3], ids=" ".join)
-    @pytest.mark.parametrize("calendar", ["edges", "chain"])
+    @pytest.mark.parametrize("calendar", ["edges", "chain", "saturday_weeks"])
     def test_generated_json(self, capsys, tmp_path, calendar, flags):
         path = tmp_path / f"{calendar}.cal"
-        path.write_text(EDGES if calendar == "edges" else chain("shift", 300))
+        path.write_text(GENERATED.get(calendar) or chain("shift", 300))
         code, out, err = run(capsys, "convert", str(path), *flags)
         if calendar == "edges" and "--gstp" in flags:
             assert code == 3 and out == "" and err.startswith("granlower: never: ")
@@ -496,6 +518,18 @@ class TestOutputBytes:
         assert reps["one"].explicit[1] == (1,)
         assert reps["pair"].explicit[1] == (1, 8)
 
+    def test_negative_bottoms_match_per_index_join(self, capsys, tmp_path):
+        path = tmp_path / "saturday_weeks.cal"
+        path.write_text(SATURDAY_WEEKS)
+        bottoms = list(range(-1, 6))
+        code, out, err = run(capsys, "convert", str(path))
+        assert code == 0, err
+        (entry,) = json.loads(out)["granularities"]
+        assert entry["rep"]["labels"] == [{"label": -1, "bottoms": bottoms}]
+        code, out, err = run(capsys, "convert", str(path), "--format", "text")
+        assert code == 0, err
+        assert out == f"granularity week\n-1: {' '.join(map(str, bottoms))} | P=7 N=7 bounds=none\n"
+
     def test_no_granularities(self, capsys, tmp_path):
         path = tmp_path / "bare.cal"
         path.write_text("calendar bare bottom tick;\n")
@@ -505,11 +539,13 @@ class TestOutputBytes:
             {"calendar": "bare", "bottom": "tick", "granularities": []}, indent=2
         ) + "\n"
 
-    @pytest.mark.parametrize("calendar", ["basic", "toyleap", "gregorian", "gregorian_doubled", "edges"])
+    @pytest.mark.parametrize(
+        "calendar", ["basic", "toyleap", "gregorian", "gregorian_doubled", "edges", "saturday_weeks"]
+    )
     def test_text(self, capsys, fixtures_dir, tmp_path, calendar):
-        if calendar == "edges":
-            path = tmp_path / "edges.cal"
-            path.write_text(EDGES)
+        if calendar in GENERATED:
+            path = tmp_path / f"{calendar}.cal"
+            path.write_text(GENERATED[calendar])
         else:
             path = fixtures_dir / f"{calendar}.cal"
         code, out, err = run(capsys, "convert", str(path), "--format", "text")
@@ -557,7 +593,7 @@ class TestOutputBytes:
 
 
 def joined(runs, sep):
-    """The text ``_join_runs`` must produce, one ``str`` per index."""
+    """The text ``_Joiner(sep).join`` must produce, one ``str`` per index."""
     return sep.join(str(x) for s, e in runs for x in range(s, e + 1))
 
 
@@ -578,13 +614,16 @@ def run_lists(draw):
 
 
 class TestJoinRuns:
-    """``_join_runs`` slices runs out of per-1,000 text blocks; its text must
-    be the per-index join for every separator, width and block boundary."""
+    """``_Joiner`` slices runs out of per-1,000 text blocks; its text must be
+    the per-index join for every separator, width and block boundary, also
+    when one joiner, holding the block it built last, serves many calls."""
 
     @settings(max_examples=300, deadline=None)
-    @given(runs=run_lists(), sep=st.sampled_from(SEPARATORS))
-    def test_matches_per_index_join(self, runs, sep):
-        assert cli._join_runs(runs, sep) == joined(runs, sep)
+    @given(run_seq=st.lists(run_lists(), min_size=1, max_size=3), sep=st.sampled_from(SEPARATORS))
+    def test_matches_per_index_join(self, run_seq, sep):
+        join = cli._Joiner(sep).join
+        for runs in run_seq:
+            assert join(runs) == joined(runs, sep)
 
     @pytest.mark.parametrize(
         "runs",
@@ -597,18 +636,36 @@ class TestJoinRuns:
     )
     @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
     def test_edges(self, runs, sep):
-        assert cli._join_runs(runs, sep) == joined(runs, sep)
+        assert cli._Joiner(sep).join(runs) == joined(runs, sep)
 
     def test_alternating_separators_use_their_own_block(self):
-        # the same block of indices asked for with each separator in turn
+        # the same block of indices asked for from each joiner in turn
         runs = [(1500, 1502)]
-        for sep in SEPARATORS * 3:
-            assert cli._join_runs(runs, sep) == joined(runs, sep)
+        joins = [cli._Joiner(sep).join for sep in SEPARATORS]
+        for sep, join in list(zip(SEPARATORS, joins)) * 3:
+            assert join(runs) == joined(runs, sep)
 
-    def test_one_block_is_kept(self):
-        cli._join_runs([(1000, 5999)], " ")
-        cli._join_runs([(1000, 5999)], cli._BOTTOMS_SEP)
-        assert cli._block.cache_info().currsize == 1
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_one_render_holds_one_block(self, fixtures_dir, monkeypatch, fmt):
+        made = []
+
+        class Recorded(cli._Joiner):
+            def __init__(self, sep):
+                super().__init__(sep)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "_Joiner", Recorded)
+        doc, reps = reference_reps(fixtures_dir / "gregorian.cal")
+        if fmt == "json":
+            cli._render_json(doc, reps, Recording())
+        else:
+            cli._render_text(reps, Recording())
+        # one joiner, holding only the last block the render reached: the
+        # last year ends at day 146097
+        (joiner,) = made
+        sep = joiner.sep
+        assert vars(joiner).keys() == {"sep", "held", "parts"}
+        assert joiner.held == (146000, joined([(146000, 146999)], sep) + sep, 6 + len(sep))
 
 
 @contextlib.contextmanager
@@ -782,3 +839,68 @@ class TestStartup:
         assert loaded.isdisjoint(
             {"dataclasses", "inspect", "fractions", "decimal", "json", "random", "typing"}
         )
+
+    def test_oracle_loads_on_first_use(self):
+        script = (
+            "import sys\n"
+            "import granlower.cli\n"
+            "from granlower import algebra, convert\n"
+            "assert 'granlower.oracle' not in sys.modules\n"
+            "import granlower\n"
+            "try:\n"
+            "    granlower.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('unknown attribute resolved')\n"
+            "assert 'granlower.oracle' not in sys.modules\n"
+            "from granlower import Definitions, verify_against_oracle\n"
+            "from granlower import oracle\n"
+            "assert verify_against_oracle is oracle.verify_against_oracle\n"
+            "assert Definitions is oracle.Definitions\n"
+            "names = {}\n"
+            "exec('from granlower import *', names)\n"
+            "assert set(granlower.__all__) <= names.keys(), set(granlower.__all__) - names.keys()\n"
+            "assert names['eval_window'] is oracle.eval_window\n"
+            "print('ok')\n"
+        )
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "ok\n")
+
+
+class TestTracerContract:
+    """``perfbench/tracing.py`` wraps ``cli.verify_against_oracle`` and the
+    renderers where ``cli`` looks them up; those spans must still be recorded
+    although the oracle loads only in ``verify``."""
+
+    def test_verify_and_render_spans(self, fixtures_dir):
+        # the tracer patches module globals, so it runs in a process of its own
+        root = pathlib.Path(__file__).parents[1]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from perfbench import tracing\n"
+            "from granlower import cli\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "calls = []\n"
+            "for argv in (['verify', sys.argv[1]], ['convert', sys.argv[2]]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    summary = tracer.summary()\n"
+            "    calls.append([code, summary['calls']['oracle.verify_against_oracle'],\n"
+            "                  summary['calls']['cli.render']])\n"
+            "print(json.dumps(calls))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(fixtures_dir / "toyleap.cal"),
+             str(fixtures_dir / "gregorian.cal")],
+            capture_output=True, text=True, timeout=120, cwd=root,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        # toyleap.cal defines six granularities; the counts are cumulative
+        assert json.loads(proc.stdout) == [[0, 6, 0], [0, 6, 1]]
