@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from granlower import algebra as ast
 from granlower import convert
-from granlower.algebra import parse_calendar, rewrite_to_bottom
+from granlower.algebra import CalendarSyntaxError, parse_calendar, print_calendar, rewrite_to_bottom, validate
 from granlower.convert import (
     BOTTOM_REP,
     ConversionError,
@@ -43,6 +44,7 @@ from granlower.minimize import minimize
 
 from .conftest import scaled
 from .exprgen import ExprGen
+from .test_algebra import _FRAGMENTS
 from .test_cli import FAILING, chain, deadline
 from .test_runs import raw_windows, runs_from
 
@@ -1039,6 +1041,27 @@ class TestStandingChecks:
                 digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == self.EXPRGEN_DIGEST
 
+    # SHA-256 over seeds 0-1,999: one line per seed, the parsed document and
+    # its validation report, or the syntax error
+    PARSE_DIGEST = "101e8d49fe3e97a3f9d2e3f08de3ef63b61fda09eb89ff45f44b4534a7c9ee27"
+
+    def test_parse_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            gen = ExprGen(rng)
+            definitions = tuple(
+                (f"d{i}", gen.top_level(rng.randint(1, 4))) for i in range(rng.randint(1, 4))
+            )
+            text = mutated(rng, print_calendar(ast.CalendarDoc("c", "day", definitions)))
+            try:
+                doc = parse_calendar(text)
+                line = f"{doc!r} | {validate(doc)}"
+            except CalendarSyntaxError as exc:
+                line = f"CalendarSyntaxError: {exc}"
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.PARSE_DIGEST
+
     # span calls per fixture, and the driver calls that hit the cache
     SPANS = {
         "basic": ({"driver": 53, "alter": 2, "anchored": 1, "combine": 1, "group": 3,
@@ -1074,3 +1097,20 @@ class TestStandingChecks:
         calls, hits = json.loads(proc.stdout)
         spans = {name.split(".", 1)[1]: n for name, n in calls.items() if name.startswith("convert.")}
         assert (spans, hits) == self.SPANS[fixture]
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one token deleted, duplicated, swapped with the next one
+    or replaced by a fragment of the tokenizer tests."""
+    spans = [m.span() for m in re.finditer(r"[\w-]+|[(),;=]", text)]
+    i = rng.randrange(len(spans))
+    s, e = spans[i]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[:s] + text[e:]
+    if kind == 1:
+        return text[:e] + " " + text[s:e] + text[e:]
+    if kind == 2 and i + 1 < len(spans):
+        s2, e2 = spans[i + 1]
+        return text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:]
+    return text[:s] + rng.choice(_FRAGMENTS) + text[e:]
