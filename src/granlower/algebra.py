@@ -227,13 +227,17 @@ _TOKENS = r"[A-Za-z_][A-Za-z0-9_-]*|[(),;=]|-?[0-9]+|-inf\b"
 # then one or two "" (the end of input).
 _TOKEN = re.compile(rf"\s*(?:\#[^\n]*\s*)*({_TOKENS}|[\s\S]+|)")
 _VALID_TOKEN = re.compile(_TOKENS)
+_COMMENT = re.compile(r"\#[^\n]*")
+# valid tokens joined by single spaces
+_SPACED_TOKENS = re.compile(rf"(?:(?:{_TOKENS})(?: |\Z))*")
 
 # the first characters of the token kinds take() reads: a valid token's kind
 # follows from its first character, except that "-inf" is no integer
-_FIRST = {
-    "ident": frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"),
-    "int": frozenset("-0123456789"),
-}
+_IDENT_FIRST = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_FIRST = {"ident": _IDENT_FIRST, "int": frozenset("-0123456789")}
+
+# a node of a Record class from fields the parser has already checked
+_new = tuple.__new__
 
 
 class CalendarSyntaxError(Exception):
@@ -255,6 +259,17 @@ def _syntax_error(text: str, index: int, message: str) -> CalendarSyntaxError:
 def _tokenize(text: str) -> list[str]:
     """The token texts, ending with "" for the end of input; a character no
     token starts with is an error, reported before any syntax error."""
+    # Without its comments, and with punctuation spaced out, a text of valid
+    # tokens splits into them at whitespace (str.split and \s agree on what
+    # that is); findall, which also finds the bad token, takes about twice
+    # as long on a long calendar.
+    spaced = _COMMENT.sub("", text) if "#" in text else text
+    for mark in "(),;=":
+        spaced = spaced.replace(mark, f" {mark} ")
+    tokens = spaced.split()
+    if _SPACED_TOKENS.fullmatch(" ".join(tokens)):
+        tokens.append("")
+        return tokens
     tokens = _TOKEN.findall(text)
     last = tokens[-2] if len(tokens) > 1 else ""
     if last and not _VALID_TOKEN.fullmatch(last):
@@ -263,6 +278,18 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent over the token texts, two frames a nesting level
+    (expression, then _operator_body).
+
+    How far the calls below those frames reach decides the nesting level at
+    which RecursionError stops the parser, and the token it stops at, which
+    parse_calendar reports.  The deepest calls build a leaf (_leaf) and read
+    an operator's first scalar (positive or nonzero, through integer, take
+    and peek); every nesting ends in a leaf, so all operators stop at one
+    level.  Punctuation, names being defined and later scalars are read
+    inline, never deeper than those calls.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -281,9 +308,8 @@ class _Parser:
         return tok
 
     def punct(self, mark: str) -> None:
-        # reads the token without peek(); take() keeps that call, because the
-        # depth of its calls sets the nesting level at which RecursionError
-        # stops the parser, and punctuation is never read at that depth
+        # the callers check the token inline, and call this from the same
+        # frame to raise the error
         tok = self.tokens[self.pos]
         if tok != mark:
             found = repr(tok) if tok else "end of input"
@@ -305,7 +331,7 @@ class _Parser:
 
     def integer(self) -> int:
         tok = self.take("int", "an integer")
-        if len(tok.lstrip("-")) > MAX_LITERAL_DIGITS:
+        if len(tok) > MAX_LITERAL_DIGITS and len(tok.lstrip("-")) > MAX_LITERAL_DIGITS:
             raise self.error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", self.pos - 1)
         return int(tok)
 
@@ -346,14 +372,23 @@ class _Parser:
         seen.add(bottom)
         self.punct(";")
         defs: list[tuple[str, CalExpr]] = []
-        while self.tokens[self.pos]:
-            name = self.fresh_name(seen)
-            self.punct("=")
+        tokens = self.tokens
+        while name := tokens[self.pos]:
+            # a fresh name and "=" are read here; anything else goes through
+            # fresh_name and punct, which raise the error
+            if (name[0] in _IDENT_FIRST and name not in KEYWORDS and name not in seen
+                    and tokens[self.pos + 1] == "="):
+                self.pos += 2
+            else:
+                name = self.fresh_name(seen)
+                self.punct("=")
             expr = self.expression(bottom, seen, outermost=True)
-            self.punct(";")
+            if tokens[self.pos] != ";":
+                self.punct(";")
+            self.pos += 1
             seen.add(name)
             defs.append((name, expr))
-        return CalendarDoc(cal_name, bottom, tuple(defs))
+        return _new(CalendarDoc, (cal_name, bottom, tuple(defs)))
 
     def take_keyword(self, word: str) -> None:
         if self.peek() != word:
@@ -363,40 +398,73 @@ class _Parser:
     def expression(self, bottom: str, seen: set[str], outermost: bool = False) -> CalExpr:
         at = self.pos
         word = self.take("ident", "a granularity expression")
-        if word not in KEYWORDS:
+        if word not in OPERATORS:
+            if word in KEYWORDS:
+                raise self.error(f"unexpected keyword {word!r}", at)
             if word == bottom:
-                return Bottom()
+                return _leaf(Bottom, ())
             if word not in seen:
                 raise self.error(f"unknown granularity {word!r}", at)
-            return Name(word)
-        if word not in OPERATORS:
-            raise self.error(f"unexpected keyword {word!r}", at)
+            return _leaf(Name, (word,))
         if word == "subset" and not outermost:
             raise self.error(
                 "subset may only appear as the outermost operation of a definition", at
             )
-        self.punct("(")
+        tokens = self.tokens
+        if tokens[self.pos] != "(":
+            self.punct("(")
+        self.pos += 1
         expr = self._operator_body(word, at, bottom, seen)
-        self.punct(")")
+        if tokens[self.pos] != ")":
+            self.punct(")")
+        self.pos += 1
         return expr
 
     def _operator_body(self, word: str, at: int, bottom: str, seen: set[str]) -> CalExpr:
-        cls, kinds = OPERATORS[word]
+        cls, readers, operands = _BODIES[word]
+        tokens = self.tokens
         args: list = []
-        for kind, *extra in kinds:
+        for read, what in readers:
             if args:
-                self.punct(",")
-            args.append(getattr(self, kind)(*extra))
+                if tokens[self.pos] != ",":
+                    self.punct(",")
+                self.pos += 1
+            args.append(read(self) if what is None else read(self, what))
         # cross-checks of the scalars run before any operand is parsed
         if cls is Alter and args[0] > args[2]:
             raise self.error(f"alter slot {args[0]} exceeds cycle {args[2]}", at)
         if cls is Subset and None not in args and args[0] > args[1]:
             raise self.error(f"subset bounds {args[0]}..{args[1]} are inverted", at)
-        for _ in cls.__match_args__[len(kinds):]:
+        for _ in operands:
             if args:
-                self.punct(",")
+                if tokens[self.pos] != ",":
+                    self.punct(",")
+                self.pos += 1
             args.append(self.expression(bottom, seen))
-        return cls(*args)
+        return _new(cls, args)
+
+
+# keyword -> (node class, per scalar its _Parser method and that method's
+# argument or None, the operand fields); OPERATORS in the form the parser reads
+_BODIES = {
+    word: (
+        cls,
+        tuple((getattr(_Parser, kind), extra[0] if extra else None) for kind, *extra in kinds),
+        cls.__match_args__[len(kinds) :],
+    )
+    for word, (cls, kinds) in OPERATORS.items()
+}
+
+
+def _leaf(cls: type, args: tuple) -> CalExpr:
+    # with _leaf_node and tuple.__new__, three levels of recursion below
+    # expression(), as deep as a scalar is read below _operator_body (see
+    # _Parser)
+    return _leaf_node(cls, args)
+
+
+def _leaf_node(cls: type, args: tuple) -> CalExpr:
+    return _new(cls, args)
 
 
 def parse_calendar(text: str) -> CalendarDoc:
@@ -481,42 +549,47 @@ def validate(doc: CalendarDoc) -> ValidationReport:
         stack = [expr]  # an explicit stack, so nesting depth has no recursion limit
         while stack:
             node = stack.pop()
-            match node:
-                case Name(n):
-                    if n not in known:
-                        findings.append(Finding(name, "unresolved-name", f"{n!r} is not defined earlier"))
-                    elif n in bounded:
-                        findings.append(
-                            Finding(
-                                name,
-                                "bounded-operand",
-                                f"{n!r} carries subset bounds and cannot be an operand",
-                            )
-                        )
-                    continue
-                case Bottom():
-                    continue
-                case Subset(lo, hi, _) if node is not expr:  # no node contains itself
+            kind = type(node)
+            if kind is Name:
+                n = node[0]
+                if n not in known:
+                    findings.append(Finding(name, "unresolved-name", f"{n!r} is not defined earlier"))
+                elif n in bounded:
                     findings.append(
-                        Finding(name, "subset-not-outermost", "subset must be the outermost operation")
+                        Finding(name, "bounded-operand", f"{n!r} carries subset bounds and cannot be an operand")
                     )
-                case Subset(lo, hi, _) if lo is not None and hi is not None and lo > hi:
-                    findings.append(Finding(name, "parameter-range", f"subset bounds {lo}..{hi} inverted"))
-                case Group(m, _) if m < 1:
-                    findings.append(Finding(name, "parameter-range", f"group size {m} must be positive"))
-                case Alter(slot, _, cycle, _, _) if not 1 <= slot <= cycle:
-                    findings.append(
-                        Finding(name, "parameter-range", f"alter needs 1 <= slot <= cycle, got {slot}, {cycle}")
-                    )
-                case SelectDown(k, l, _, _) | SelectIntersect(k, l, _, _) if k == 0 or l < 1:
-                    findings.append(
-                        Finding(name, "parameter-range", f"selection needs start != 0 and count > 0, got {k}, {l}")
-                    )
-            stack.extend(reversed(_split(node)[3]))  # leftmost operand first
+                continue
+            if kind is Bottom:
+                continue
+            signature = _SIGNATURES.get(kind)
+            if signature is None:
+                raise TypeError(f"not a calendar expression: {node!r}")
+            if kind is Subset and node is not expr:  # no node contains itself
+                findings.append(Finding(name, "subset-not-outermost", "subset must be the outermost operation"))
+            elif kind in _RANGES and (message := _RANGES[kind](node)):
+                findings.append(Finding(name, "parameter-range", message))
+            stack.extend(reversed(node[len(signature[1]) :]))  # leftmost operand first
         if isinstance(expr, Subset):
             bounded.add(name)
         known.add(name)
     return ValidationReport(tuple(findings))
+
+
+def _selection_range(node: SelectDown | SelectIntersect) -> str | bool:
+    k, n = node.start, node.count
+    return (k == 0 or n < 1) and f"selection needs start != 0 and count > 0, got {k}, {n}"
+
+
+# node class -> its parameter-range finding's message, or a false value
+_RANGES = {
+    Subset: lambda e: e.lo is not None and e.hi is not None and e.lo > e.hi
+    and f"subset bounds {e.lo}..{e.hi} inverted",
+    Group: lambda e: e.size < 1 and f"group size {e.size} must be positive",
+    Alter: lambda e: not 1 <= e.slot <= e.cycle
+    and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
+    SelectDown: _selection_range,
+    SelectIntersect: _selection_range,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,11 @@ def _load(path: str):
 
 
 def _convert_all(doc, names, minimize: bool, gstp: bool):
+    """``(name, rep)`` for ``names``, or for every definition when ``names`` is None."""
     # GRANLOWER_MAX_PERIOD is read only once every name is known, so an
     # unknown name is the error reported; convert_calendar needs the cap
     # before it can raise its KeyError
-    unknown = set(names) - {doc.bottom, *doc.names}
+    unknown = () if names is None else set(names) - {doc.bottom, *doc.names}
     if unknown:
         print(f"granlower: no definition named {min(unknown)!r}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
@@ -110,7 +111,7 @@ def _convert_all(doc, names, minimize: bool, gstp: bool):
         # convert_calendar names the failing definition; gstp fails on a requested name
         print(f"granlower: {exc.definition or name}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONVERT) from None
-    return [(name, reps[name]) for name in names]
+    return [(name, reps[name]) for name in (reps if names is None else names)]
 
 
 class _Joiner:
@@ -241,7 +242,7 @@ def _render_json(doc, reps, out) -> None:
 
 def cmd_convert(args) -> int:
     doc = _load(args.file)
-    names = [args.target] if args.target else list(doc.names)
+    names = [args.target] if args.target else None
     reps = _convert_all(doc, names, args.minimize, args.gstp)
     if args.format == "json":
         _render_json(doc, reps, sys.stdout)
@@ -297,7 +298,7 @@ def cmd_verify(args) -> int:
     import random  # here, so the other commands do not load it
 
     doc = _load(args.file)
-    reps = _convert_all(doc, list(doc.names), True, False)
+    reps = _convert_all(doc, None, True, False)
     periods = [r.period for _, r in reps if isinstance(r, PeriodicRep)]
     needed = 3 * max(periods, default=1)
     window = args.window or needed

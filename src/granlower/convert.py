@@ -189,8 +189,13 @@ def convert_alter(
 
 
 def convert_shift(g: PeriodicRep, offset: int) -> Rep:
-    raw = {a + offset: runs for a, runs in g._runs.items()}
-    return normalize_alignment(raw, g.period, g.step)
+    runs = g._runs
+    if g.anchor_label != g.first_label:  # a window built by hand may start elsewhere
+        return normalize_alignment({a + offset: r for a, r in runs.items()}, g.period, g.step)
+    # every label moves by offset, the anchor with them, so the window stays aligned
+    rep = PeriodicRep.from_runs(g.period, g.step, {a + offset: runs[a] for a in g.labels})
+    rep._anchor = rep.first_label
+    return rep
 
 
 def convert_combine(
@@ -376,7 +381,7 @@ _TABLE = {
                 and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
                 lambda e, o, cap: convert_alter(*o, e.slot, e.change, e.cycle, cap),
                 ("alter unit is empty and cannot partition the base", 1), ((1, True), (0, True))),
-    ast.Shift: ("shift", None, lambda e, o, cap: convert_shift(*o, e.offset), (0,), ((0, True),)),
+    ast.Shift: ("shift", None, lambda e, o, cap: convert_shift(o[0], e.offset), (0,), ((0, True),)),
     ast.Combine: ("combine", None, lambda e, o, cap: convert_combine(*o, cap), (0, 1), _UNBOUNDED),
     ast.AnchoredGroup: ("anchor", None, lambda e, o, cap: convert_anchored(*o, cap), (
         "anchor granularity is not a subgranularity of an empty filler", 1), ((0, True), (1, False))),
@@ -422,8 +427,9 @@ def convert_expression(
     # (node, path above it, None) reaches a node; (node, its path, len(done))
     # finishes it once its operands are converted
     stack: list = [(expr, (), None)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, path, mark = stack.pop()
+        node, path, mark = pop()
         if mark is not None:
             operands = done[mark:]
             del done[mark:]
@@ -444,8 +450,9 @@ def convert_expression(
             arity = len(row[3])
             if arity and len(here) > MAX_NESTING:
                 raise ConversionError("expression nested too deeply to convert")
-            stack.append((node, here, len(done)))
-            stack.extend((e, here, None) for e in reversed(node[len(node) - arity :]))
+            push((node, here, len(done)))
+            for operand in reversed(node[len(node) - arity :]):
+                push((operand, here, None))
     return done[0]
 
 
@@ -460,21 +467,23 @@ def _convert(expr, minimize, cache, max_period, here=(), operands=None):
     try:
         if check and (message := check(expr)):
             raise ConversionError(message)
-        # the last empty operand decides; error texts come first in every
-        # row, so a result beats an error
-        ruled = [rule for rule, rep in zip(empty, operands) if isinstance(rep, EmptyRep)]
-        if ruled:
-            if isinstance(ruled[-1], str):
-                raise ConversionError(ruled[-1])
-            result = operands[ruled[-1]]
+        for rep in operands:
+            if isinstance(rep, EmptyRep):
+                # the last empty operand decides; error texts come first in
+                # every row, so a result beats an error
+                ruled = [rule for rule, rep in zip(empty, operands) if isinstance(rep, EmptyRep)]
+                if isinstance(ruled[-1], str):
+                    raise ConversionError(ruled[-1])
+                result = operands[ruled[-1]]
+                break
         else:
             for i, full in pre:
                 rep = operands[i]
                 if rep.bounds is not None:
                     raise ConversionError(f"operand of {name} carries subset bounds")
-                if full and len(rep.explicit) != rep.step:
+                if full and len(rep.labels) != rep.step:
                     raise ConversionError(f"operand of {name} is not full-integer labeled "
-                                          f"({len(rep.explicit)} granules per window of {rep.step})")
+                                          f"({len(rep.labels)} granules per window of {rep.step})")
             result = convert(expr, operands, max_period)
     except ConversionError as exc:
         raise ConversionError(exc.message, here) from None
@@ -500,14 +509,20 @@ def convert_calendar(
     :class:`ConversionError` naming the ``definition`` that failed; an
     unknown name raises :class:`KeyError`.
     """
-    names = list(doc.names if names is None else names)
+    if names is None:
+        names = doc.names
+        definitions = doc.definitions
+    else:
+        names = list(names)
+        definitions = ast.needed_definitions(doc, names)
     cache: dict = {}
     reps = {doc.bottom: BOTTOM_REP}
-    for name, expr in ast.needed_definitions(doc, names):
+    for name, expr in definitions:
         try:
-            reps[name] = convert_expression(expr, minimize=minimize, cache=cache, max_period=max_period)
+            rep = convert_expression(expr, minimize=minimize, cache=cache, max_period=max_period)
         except ConversionError as exc:
             exc.definition = name
             raise
-        cache[ast.Name(name)] = reps[name]
+        # a Record is the tuple of its fields, and a name is one field
+        reps[name] = cache[tuple.__new__(ast.Name, (name,))] = rep
     return {name: reps[name] for name in names}

@@ -65,7 +65,7 @@ def minimize(rep: Rep) -> Rep:
     if isinstance(rep, EmptyRep):
         return rep
     while True:
-        g = math.gcd(rep.period, rep.step, len(rep.explicit))
+        g = math.gcd(rep.period, rep.step, len(rep.labels))
         for p in _prime_factors(g):
             if is_valid_reduction(rep, p):
                 rep = _reduce(rep, p)
