@@ -316,6 +316,21 @@ class TestShift:
         assert out.expand(-2) == week_rep.expand(1)
         assert (out.period, out.step) == (7, 1)
 
+    @given(raw_windows(), st.integers(-20, 20), st.booleans())
+    @example((7, 2, {3: (8, 9, 10, 11, 12), 4: (13, 14)}), 5, False)  # anchored at label 1
+    def test_matches_normalize_alignment(self, raw, offset, aligned):
+        # aligned reps, as conversion makes them, and windows built by hand,
+        # which need not start at their anchor label
+        period, step, window = raw
+        g = PeriodicRep(period, step, window)
+        if aligned:
+            g = normalize_alignment(g._runs, period, step)
+        out = convert_shift(g, offset)
+        expected = normalize_alignment({a + offset: r for a, r in g._runs.items()}, period, step)
+        assert out == expected and repr(out) == repr(expected)
+        assert out.anchor_label == g.anchor_label + offset
+        assert out._anchor is out.first_label
+
 
 class TestCombine:
     def test_worked_configuration(self):
@@ -1070,12 +1085,19 @@ class TestStandingChecks:
         "toyleap": ({"driver": 16, "alter": 2, "group": 2, "select_down": 1,
                      "select_intersect": 1}, 9),
         "gregorian": ({"driver": 37, "alter": 11, "group": 2}, 23),
+        # 50 definitions: x0 = group(3, day), then x_i = shift(1, x_{i-1});
+        # each shift is one conversion and one cache hit on its operand
+        "shift_chain": ({"driver": 100, "group": 1, "shift": 49}, 49),
     }
 
     @pytest.mark.parametrize("fixture", list(SPANS))
-    def test_tracer_sees_the_driver(self, fixtures_dir, fixture):
+    def test_tracer_sees_the_driver(self, fixtures_dir, tmp_path, fixture):
         # the benchmark's tracer patches module globals, so it runs in a
         # process of its own
+        path = fixtures_dir / f"{fixture}.cal"
+        if fixture == "shift_chain":
+            path = tmp_path / "chain.cal"
+            path.write_text(chain("shift", 49))
         root = pathlib.Path(__file__).parents[1]
         script = (
             "import json, sys\n"
@@ -1089,7 +1111,7 @@ class TestStandingChecks:
             "print(json.dumps([summary['calls'], summary['counters']['convert.cache_hits']]))\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(fixtures_dir / f"{fixture}.cal")],
+            [sys.executable, "-c", script, str(path)],
             capture_output=True, text=True, timeout=60, cwd=root,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)])),
         )
