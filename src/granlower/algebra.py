@@ -226,18 +226,13 @@ _TOKENS = r"[A-Za-z_][A-Za-z0-9_-]*|[(),;=]|-?[0-9]+|-inf\b"
 # it captures "".  So findall yields the tokens, then at most one bad token,
 # then one or two "" (the end of input).
 _TOKEN = re.compile(rf"\s*(?:\#[^\n]*\s*)*({_TOKENS}|[\s\S]+|)")
-_VALID_TOKEN = re.compile(_TOKENS)
-_COMMENT = re.compile(r"\#[^\n]*")
-# valid tokens joined by single spaces
-_SPACED_TOKENS = re.compile(rf"(?:(?:{_TOKENS})(?: |\Z))*")
+_VALID_TOKENS = re.compile(rf"(?:{_TOKENS})(?: (?:{_TOKENS}))*")  # one space apart
 
 # the first characters of the token kinds take() reads: a valid token's kind
 # follows from its first character, except that "-inf" is no integer
 _IDENT_FIRST = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _FIRST = {"ident": _IDENT_FIRST, "int": frozenset("-0123456789")}
-
-# a node of a Record class from fields the parser has already checked
-_new = tuple.__new__
+_new = tuple.__new__  # a Record from fields the parser has checked
 
 
 class CalendarSyntaxError(Exception):
@@ -259,36 +254,30 @@ def _syntax_error(text: str, index: int, message: str) -> CalendarSyntaxError:
 def _tokenize(text: str) -> list[str]:
     """The token texts, ending with "" for the end of input; a character no
     token starts with is an error, reported before any syntax error."""
-    # Without its comments, and with punctuation spaced out, a text of valid
-    # tokens splits into them at whitespace (str.split and \s agree on what
-    # that is); findall, which also finds the bad token, takes about twice
-    # as long on a long calendar.
-    spaced = _COMMENT.sub("", text) if "#" in text else text
+    # Without comments and with punctuation spaced out, valid tokens split at
+    # whitespace (as \s finds it) for half the cost of findall; a fullmatch
+    # keeps state per token, so it checks 256 at a time.
+    spaced = re.sub(r"\#[^\n]*", "", text)
     for mark in "(),;=":
         spaced = spaced.replace(mark, f" {mark} ")
     tokens = spaced.split()
-    if _SPACED_TOKENS.fullmatch(" ".join(tokens)):
+    if all(_VALID_TOKENS.fullmatch(" ".join(tokens[i : i + 256])) for i in range(0, len(tokens), 256)):
         tokens.append("")
         return tokens
     tokens = _TOKEN.findall(text)
     last = tokens[-2] if len(tokens) > 1 else ""
-    if last and not _VALID_TOKEN.fullmatch(last):
+    if last and not _VALID_TOKENS.fullmatch(last):
         raise _syntax_error(text, len(tokens) - 2, f"unexpected character {last[0]!r}")
     return tokens
 
 
 class _Parser:
-    """Recursive descent over the token texts, two frames a nesting level
-    (expression, then _operator_body).
-
-    How far the calls below those frames reach decides the nesting level at
-    which RecursionError stops the parser, and the token it stops at, which
-    parse_calendar reports.  The deepest calls build a leaf (_leaf) and read
-    an operator's first scalar (positive or nonzero, through integer, take
-    and peek); every nesting ends in a leaf, so all operators stop at one
-    level.  Punctuation, names being defined and later scalars are read
-    inline, never deeper than those calls.
-    """
+    """Recursive descent, two frames a nesting level (expression, then
+    _operator_body).  The calls below them set the level, and the token, at
+    which RecursionError stops it: the deepest build a leaf (_leaf) and read
+    an operator's first scalar (positive, integer, take, peek), equally deep,
+    so every operator stops at the same level.  Most punctuation is checked
+    inline, never deeper than those calls."""
 
     def __init__(self, text: str):
         self.text = text
@@ -308,8 +297,6 @@ class _Parser:
         return tok
 
     def punct(self, mark: str) -> None:
-        # the callers check the token inline, and call this from the same
-        # frame to raise the error
         tok = self.tokens[self.pos]
         if tok != mark:
             found = repr(tok) if tok else "end of input"
@@ -374,14 +361,11 @@ class _Parser:
         defs: list[tuple[str, CalExpr]] = []
         tokens = self.tokens
         while name := tokens[self.pos]:
-            # a fresh name and "=" are read here; anything else goes through
-            # fresh_name and punct, which raise the error
-            if (name[0] in _IDENT_FIRST and name not in KEYWORDS and name not in seen
-                    and tokens[self.pos + 1] == "="):
-                self.pos += 2
-            else:
-                name = self.fresh_name(seen)
+            if name in seen or name in KEYWORDS or name[0] not in _IDENT_FIRST or tokens[self.pos + 1] != "=":
+                name = self.fresh_name(seen)  # which, or punct, raises the error
                 self.punct("=")
+            else:
+                self.pos += 2
             expr = self.expression(bottom, seen, outermost=True)
             if tokens[self.pos] != ";":
                 self.punct(";")
@@ -410,14 +394,9 @@ class _Parser:
             raise self.error(
                 "subset may only appear as the outermost operation of a definition", at
             )
-        tokens = self.tokens
-        if tokens[self.pos] != "(":
-            self.punct("(")
-        self.pos += 1
+        self.punct("(")
         expr = self._operator_body(word, at, bottom, seen)
-        if tokens[self.pos] != ")":
-            self.punct(")")
-        self.pos += 1
+        self.punct(")")
         return expr
 
     def _operator_body(self, word: str, at: int, bottom: str, seen: set[str]) -> CalExpr:
@@ -426,9 +405,7 @@ class _Parser:
         args: list = []
         for read, what in readers:
             if args:
-                if tokens[self.pos] != ",":
-                    self.punct(",")
-                self.pos += 1
+                self.punct(",")
             args.append(read(self) if what is None else read(self, what))
         # cross-checks of the scalars run before any operand is parsed
         if cls is Alter and args[0] > args[2]:
@@ -444,22 +421,14 @@ class _Parser:
         return _new(cls, args)
 
 
-# keyword -> (node class, per scalar its _Parser method and that method's
-# argument or None, the operand fields); OPERATORS in the form the parser reads
-_BODIES = {
-    word: (
-        cls,
-        tuple((getattr(_Parser, kind), extra[0] if extra else None) for kind, *extra in kinds),
-        cls.__match_args__[len(kinds) :],
-    )
-    for word, (cls, kinds) in OPERATORS.items()
-}
+# keyword -> (node class, per scalar its _Parser method and argument or None, the operand fields)
+_BODIES = {word: (cls, tuple((getattr(_Parser, kind), extra[0] if extra else None) for kind, *extra in kinds),
+                  cls.__match_args__[len(kinds) :]) for word, (cls, kinds) in OPERATORS.items()}
 
 
+# a leaf is built three levels of recursion below expression(), with
+# _leaf_node and tuple.__new__ (see _Parser)
 def _leaf(cls: type, args: tuple) -> CalExpr:
-    # with _leaf_node and tuple.__new__, three levels of recursion below
-    # expression(), as deep as a scalar is read below _operator_body (see
-    # _Parser)
     return _leaf_node(cls, args)
 
 
@@ -558,38 +527,28 @@ def validate(doc: CalendarDoc) -> ValidationReport:
                     findings.append(
                         Finding(name, "bounded-operand", f"{n!r} carries subset bounds and cannot be an operand")
                     )
-                continue
-            if kind is Bottom:
-                continue
-            signature = _SIGNATURES.get(kind)
-            if signature is None:
-                raise TypeError(f"not a calendar expression: {node!r}")
-            if kind is Subset and node is not expr:  # no node contains itself
-                findings.append(Finding(name, "subset-not-outermost", "subset must be the outermost operation"))
-            elif kind in _RANGES and (message := _RANGES[kind](node)):
-                findings.append(Finding(name, "parameter-range", message))
-            stack.extend(reversed(node[len(signature[1]) :]))  # leftmost operand first
+            elif kind is not Bottom:
+                if kind is Subset and node is not expr:  # no node contains itself
+                    findings.append(Finding(name, "subset-not-outermost", "subset must be the outermost operation"))
+                elif kind in _RANGES and (message := _RANGES[kind](node)):
+                    findings.append(Finding(name, "parameter-range", message))
+                stack.extend(reversed(_split(node)[3]))  # leftmost operand first
         if isinstance(expr, Subset):
             bounded.add(name)
         known.add(name)
     return ValidationReport(tuple(findings))
 
 
-def _selection_range(node: SelectDown | SelectIntersect) -> str | bool:
-    k, n = node.start, node.count
-    return (k == 0 or n < 1) and f"selection needs start != 0 and count > 0, got {k}, {n}"
-
-
-# node class -> its parameter-range finding's message, or a false value
+# node class -> the message of its parameter-range finding, or a false value
 _RANGES = {
     Subset: lambda e: e.lo is not None and e.hi is not None and e.lo > e.hi
     and f"subset bounds {e.lo}..{e.hi} inverted",
     Group: lambda e: e.size < 1 and f"group size {e.size} must be positive",
-    Alter: lambda e: not 1 <= e.slot <= e.cycle
-    and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
-    SelectDown: _selection_range,
-    SelectIntersect: _selection_range,
+    Alter: lambda e: not 1 <= e.slot <= e.cycle and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
+    SelectDown: lambda e: (e.start == 0 or e.count < 1)
+    and f"selection needs start != 0 and count > 0, got {e.start}, {e.count}",
 }
+_RANGES[SelectIntersect] = _RANGES[SelectDown]
 
 
 # ---------------------------------------------------------------------------

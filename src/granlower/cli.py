@@ -95,10 +95,9 @@ def _load(path: str):
 
 
 def _convert_all(doc, names, minimize: bool, gstp: bool):
-    """``(name, rep)`` for ``names``, or for every definition when ``names`` is None."""
-    # GRANLOWER_MAX_PERIOD is read only once every name is known, so an
-    # unknown name is the error reported; convert_calendar needs the cap
-    # before it can raise its KeyError
+    # names None means every definition.  GRANLOWER_MAX_PERIOD is read only
+    # once every name is known, so an unknown name is the error reported;
+    # convert_calendar needs the cap before it can raise its KeyError
     unknown = () if names is None else set(names) - {doc.bottom, *doc.names}
     if unknown:
         print(f"granlower: no definition named {min(unknown)!r}", file=sys.stderr)

@@ -189,11 +189,10 @@ def convert_alter(
 
 
 def convert_shift(g: PeriodicRep, offset: int) -> Rep:
-    runs = g._runs
+    raw = {a + offset: g._runs[a] for a in g.labels}
     if g.anchor_label != g.first_label:  # a window built by hand may start elsewhere
-        return normalize_alignment({a + offset: r for a, r in runs.items()}, g.period, g.step)
-    # every label moves by offset, the anchor with them, so the window stays aligned
-    rep = PeriodicRep.from_runs(g.period, g.step, {a + offset: runs[a] for a in g.labels})
+        return normalize_alignment(raw, g.period, g.step)
+    rep = PeriodicRep.from_runs(g.period, g.step, raw)  # every label and the anchor moved
     rep._anchor = rep.first_label
     return rep
 
@@ -427,9 +426,8 @@ def convert_expression(
     # (node, path above it, None) reaches a node; (node, its path, len(done))
     # finishes it once its operands are converted
     stack: list = [(expr, (), None)]
-    pop, push = stack.pop, stack.append
     while stack:
-        node, path, mark = pop()
+        node, path, mark = stack.pop()
         if mark is not None:
             operands = done[mark:]
             del done[mark:]
@@ -450,9 +448,9 @@ def convert_expression(
             arity = len(row[3])
             if arity and len(here) > MAX_NESTING:
                 raise ConversionError("expression nested too deeply to convert")
-            push((node, here, len(done)))
+            stack.append((node, here, len(done)))
             for operand in reversed(node[len(node) - arity :]):
-                push((operand, here, None))
+                stack.append((operand, here, None))
     return done[0]
 
 
@@ -467,15 +465,13 @@ def _convert(expr, minimize, cache, max_period, here=(), operands=None):
     try:
         if check and (message := check(expr)):
             raise ConversionError(message)
-        for rep in operands:
-            if isinstance(rep, EmptyRep):
-                # the last empty operand decides; error texts come first in
-                # every row, so a result beats an error
-                ruled = [rule for rule, rep in zip(empty, operands) if isinstance(rep, EmptyRep)]
-                if isinstance(ruled[-1], str):
-                    raise ConversionError(ruled[-1])
-                result = operands[ruled[-1]]
-                break
+        # the last empty operand decides; error texts come first in every
+        # row, so a result beats an error
+        ruled = EmptyRep in map(type, operands) and [r for r, o in zip(empty, operands) if isinstance(o, EmptyRep)]
+        if ruled:
+            if isinstance(ruled[-1], str):
+                raise ConversionError(ruled[-1])
+            result = operands[ruled[-1]]
         else:
             for i, full in pre:
                 rep = operands[i]
@@ -509,20 +505,14 @@ def convert_calendar(
     :class:`ConversionError` naming the ``definition`` that failed; an
     unknown name raises :class:`KeyError`.
     """
-    if names is None:
-        names = doc.names
-        definitions = doc.definitions
-    else:
-        names = list(names)
-        definitions = ast.needed_definitions(doc, names)
+    names = doc.names if names is None else list(names)
     cache: dict = {}
     reps = {doc.bottom: BOTTOM_REP}
-    for name, expr in definitions:
+    for name, expr in ast.needed_definitions(doc, names):
         try:
             rep = convert_expression(expr, minimize=minimize, cache=cache, max_period=max_period)
         except ConversionError as exc:
             exc.definition = name
             raise
-        # a Record is the tuple of its fields, and a name is one field
-        reps[name] = cache[tuple.__new__(ast.Name, (name,))] = rep
+        reps[name] = cache[tuple.__new__(ast.Name, (name,))] = rep  # Name(name), unchecked
     return {name: reps[name] for name in names}

@@ -242,8 +242,7 @@ class PeriodicRep:
         ``anchor``, when given, must be the granularity's :attr:`anchor_label`.
         """
         rep = _Unsealed(period, step, _Granules(runs), bounds)
-        if anchor is not None:  # the constructor leaves it unknown
-            rep._anchor = anchor
+        rep._anchor = anchor
         return rep
 
     def unbounded(self) -> "PeriodicRep":
