@@ -226,7 +226,7 @@ _TOKENS = r"[A-Za-z_][A-Za-z0-9_-]*|[(),;=]|-?[0-9]+|-inf\b"
 # it captures "".  So findall yields the tokens, then at most one bad token,
 # then one or two "" (the end of input).
 _TOKEN = re.compile(rf"\s*(?:\#[^\n]*\s*)*({_TOKENS}|[\s\S]+|)")
-_VALID_TOKENS = re.compile(rf"(?:{_TOKENS})(?: (?:{_TOKENS}))*")  # one space apart
+_VALID_TOKEN = re.compile(_TOKENS)
 
 # the first characters of the token kinds take() reads: a valid token's kind
 # follows from its first character, except that "-inf" is no integer
@@ -255,18 +255,17 @@ def _tokenize(text: str) -> list[str]:
     """The token texts, ending with "" for the end of input; a character no
     token starts with is an error, reported before any syntax error."""
     # Without comments and with punctuation spaced out, valid tokens split at
-    # whitespace (as \s finds it) for half the cost of findall; a fullmatch
-    # keeps state per token, so it checks 256 at a time.
+    # whitespace (as \s finds it), for half the cost of findall.
     spaced = re.sub(r"\#[^\n]*", "", text)
     for mark in "(),;=":
         spaced = spaced.replace(mark, f" {mark} ")
     tokens = spaced.split()
-    if all(_VALID_TOKENS.fullmatch(" ".join(tokens[i : i + 256])) for i in range(0, len(tokens), 256)):
+    if all(map(_VALID_TOKEN.fullmatch, set(tokens))):
         tokens.append("")
         return tokens
     tokens = _TOKEN.findall(text)
     last = tokens[-2] if len(tokens) > 1 else ""
-    if last and not _VALID_TOKENS.fullmatch(last):
+    if last and not _VALID_TOKEN.fullmatch(last):
         raise _syntax_error(text, len(tokens) - 2, f"unexpected character {last[0]!r}")
     return tokens
 
@@ -362,10 +361,9 @@ class _Parser:
         tokens = self.tokens
         while name := tokens[self.pos]:
             if name in seen or name in KEYWORDS or name[0] not in _IDENT_FIRST or tokens[self.pos + 1] != "=":
-                name = self.fresh_name(seen)  # which, or punct, raises the error
+                self.fresh_name(seen)  # not a fresh name and "=": this or punct raises the error
                 self.punct("=")
-            else:
-                self.pos += 2
+            self.pos += 2
             expr = self.expression(bottom, seen, outermost=True)
             if tokens[self.pos] != ";":
                 self.punct(";")
@@ -426,14 +424,9 @@ _BODIES = {word: (cls, tuple((getattr(_Parser, kind), extra[0] if extra else Non
                   cls.__match_args__[len(kinds) :]) for word, (cls, kinds) in OPERATORS.items()}
 
 
-# a leaf is built three levels of recursion below expression(), with
-# _leaf_node and tuple.__new__ (see _Parser)
-def _leaf(cls: type, args: tuple) -> CalExpr:
-    return _leaf_node(cls, args)
-
-
-def _leaf_node(cls: type, args: tuple) -> CalExpr:
-    return _new(cls, args)
+def _leaf(cls: type, args: tuple, calls: int = 1) -> CalExpr:
+    # three levels of recursion below expression(): two calls, then tuple.__new__ (see _Parser)
+    return _leaf(cls, args, calls - 1) if calls else _new(cls, args)
 
 
 def parse_calendar(text: str) -> CalendarDoc:

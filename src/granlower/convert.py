@@ -192,9 +192,8 @@ def convert_shift(g: PeriodicRep, offset: int) -> Rep:
     raw = {a + offset: g._runs[a] for a in g.labels}
     if g.anchor_label != g.first_label:  # a window built by hand may start elsewhere
         return normalize_alignment(raw, g.period, g.step)
-    rep = PeriodicRep.from_runs(g.period, g.step, raw)  # every label and the anchor moved
-    rep._anchor = rep.first_label
-    return rep
+    # the anchor moved with every label, and min gives the key object that first_label holds
+    return PeriodicRep.from_runs(g.period, g.step, raw, anchor=min(raw))
 
 
 def convert_combine(
