@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -160,6 +161,60 @@ class TestParse:
         with pytest.raises(CalendarSyntaxError) as err:
             parse_calendar(source)
         assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+    # depth_gaps() by Python version; 3.12 stopped counting C calls, such as
+    # tuple.__new__, against the recursion limit
+    DEPTH_GAPS = {
+        (3, 10): (11,) * 8, (3, 11): (11,) * 8,
+        (3, 12): (11, 11, 13, 13) * 2, (3, 13): (11, 11, 13, 13) * 2,
+    }
+
+    def test_recursion_stops_the_parser_at_a_fixed_depth(self):
+        if sys.version_info[:2] not in self.DEPTH_GAPS:
+            pytest.skip(f"no recorded depths for Python {sys.version_info[:2]}")
+        assert depth_gaps() == self.DEPTH_GAPS[sys.version_info[:2]]
+
+
+def depth_gaps() -> tuple[int, ...]:
+    """For each nesting (operator, leaf), P0 + P1 - 2 * (D0 + D1), where P is
+    the depth a plain recursion reaches and D the deepest nesting that
+    parses, each at two adjacent stack depths.  The stack already in use
+    cancels out, so the gap depends only on how deep the parser's calls go
+    below its two frames a level, which sets where RecursionError stops it."""
+
+    def deepest(fits, frames):
+        if frames:
+            return deepest(fits, frames - 1)
+        lo, hi = 0, sys.getrecursionlimit()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return lo
+
+    def descend(n):
+        return n == 0 or descend(n - 1)
+
+    def recursion(n):
+        try:
+            return descend(n)
+        except RecursionError:
+            return False
+
+    def nesting(head, tail, leaf):
+        def fits(n):
+            text = f"calendar c bottom day;\nw = group(7, day);\nx = {head * n}{leaf}{tail * n};\n"
+            try:
+                return bool(parse_calendar(text))
+            except CalendarSyntaxError:
+                return False
+        return fits
+
+    plain = deepest(recursion, 0) + deepest(recursion, 1)
+    heads = (("shift(1, ", ")"), ("group(2, ", ")"), ("union(", ", day)"), ("selectdown(1, 1, day, ", ")"))
+    return tuple(
+        plain - 2 * (deepest(nesting(head, tail, leaf), 0) + deepest(nesting(head, tail, leaf), 1))
+        for head, tail in heads for leaf in ("day", "w")
+    )
 
 
 # The tokenizer the parser used before it took token texts from one
