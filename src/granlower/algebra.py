@@ -273,10 +273,10 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent, two frames a nesting level (expression, then
     _operator_body).  The calls below them set the level, and the token, at
-    which RecursionError stops it: the deepest build a leaf (_leaf) and read
-    an operator's first scalar (positive, integer, take, peek), equally deep,
-    so every operator stops at the same level.  Most punctuation is checked
-    inline, never deeper than those calls."""
+    which RecursionError stops it; the deepest build a leaf (_leaf) and read
+    an operator's first scalar (positive, integer, take, peek), and
+    tests/test_algebra.py pins their depth per Python version.  Most
+    punctuation is checked inline, never deeper than those calls."""
 
     def __init__(self, text: str):
         self.text = text
@@ -425,7 +425,7 @@ _BODIES = {word: (cls, tuple((getattr(_Parser, kind), extra[0] if extra else Non
 
 
 def _leaf(cls: type, args: tuple, calls: int = 1) -> CalExpr:
-    # three levels of recursion below expression(): two calls, then tuple.__new__ (see _Parser)
+    # two calls, then tuple.__new__: as deep below expression() as the class call Name(word)
     return _leaf(cls, args, calls - 1) if calls else _new(cls, args)
 
 
