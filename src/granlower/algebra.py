@@ -164,14 +164,20 @@ CalExpr = (
 )
 
 
-_SELECTION = (("nonzero", "selection start"), ("positive", "selection count"))
+# a scalar rule: a value -> its error message, or a false value when in range
+def _positive(what: str):
+    return lambda value: value < 1 and f"{what} must be positive, got {value}"
+
+
+_SELECTION = (("ranged", lambda start: start == 0 and "selection start must be nonzero"),
+              ("ranged", _positive("selection count")))
 
 # keyword -> (node class, scalar parameter kinds).  The scalars are the
 # class's leading fields and always precede the operands in the source text;
-# each kind names a _Parser method and its extra arguments.
-OPERATORS: dict[str, tuple[type, tuple[tuple[str, ...], ...]]] = {
-    "group": (Group, (("positive", "grouping size"),)),
-    "alter": (Alter, (("positive", "alter slot"), ("integer",), ("positive", "alter cycle"))),
+# each kind names a _Parser method and its extra arguments ("ranged": a rule).
+OPERATORS: dict[str, tuple[type, tuple[tuple, ...]]] = {
+    "group": (Group, (("ranged", _positive("grouping size")),)),
+    "alter": (Alter, (("ranged", _positive("alter slot")), ("integer",), ("ranged", _positive("alter cycle")))),
     "shift": (Shift, (("integer",),)),
     "combine": (Combine, ()),
     "anchor": (AnchoredGroup, ()),
@@ -184,8 +190,28 @@ OPERATORS: dict[str, tuple[type, tuple[tuple[str, ...], ...]]] = {
     "difference": (Difference, ()),
 }
 
+# node class -> the rule of all its scalars, checked after each one's own
+_CROSS_CHECKS = {
+    Alter: lambda slot, change, cycle: slot > cycle and f"alter slot {slot} exceeds cycle {cycle}",
+    Subset: lambda lo, hi: None not in (lo, hi) and lo > hi and f"subset bounds {lo}..{hi} are inverted",
+}
+
 # node class -> (keyword, scalar parameter kinds)
 _SIGNATURES = {cls: (word, kinds) for word, (cls, kinds) in OPERATORS.items()}
+
+
+def _scalar_rules(kinds: tuple, cross):
+    ranged = [(i, kind[1]) for i, kind in enumerate(kinds) if kind[0] == "ranged"]
+    def check(node):
+        for i, rule in ranged:
+            if message := rule(node[i]):
+                return message
+        return cross and cross(*node[: len(kinds)])
+    return check if ranged or cross else None
+
+
+# node class -> None, or (node) -> its first broken scalar rule's message or a false value
+SCALAR_RULES = {cls: _scalar_rules(kinds, _CROSS_CHECKS.get(cls)) for cls, kinds in OPERATORS.values()}
 
 
 def _split(expr: CalExpr) -> tuple[str, tuple, tuple, tuple[CalExpr, ...]]:
@@ -274,7 +300,7 @@ class _Parser:
     """Recursive descent, two frames a nesting level (expression, then
     _operator_body).  The calls below them set the level, and the token, at
     which RecursionError stops it; the deepest build a leaf (_leaf) and read
-    an operator's first scalar (positive, integer, take, peek), and
+    an operator's first scalar (ranged, integer, take, peek), and
     tests/test_algebra.py pins their depth per Python version.  Most
     punctuation is checked inline, never deeper than those calls."""
 
@@ -321,18 +347,10 @@ class _Parser:
             raise self.error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", self.pos - 1)
         return int(tok)
 
-    def positive(self, what: str) -> int:
-        at = self.pos
+    def ranged(self, rule) -> int:
         value = self.integer()
-        if value < 1:
-            raise self.error(f"{what} must be positive, got {value}", at)
-        return value
-
-    def nonzero(self, what: str) -> int:
-        at = self.pos
-        value = self.integer()
-        if value == 0:
-            raise self.error(f"{what} must be nonzero", at)
+        if message := rule(value):
+            raise self.error(message, self.pos - 1)
         return value
 
     def bound(self, side: str) -> int | None:
@@ -401,15 +419,12 @@ class _Parser:
         cls, readers, operands = _BODIES[word]
         tokens = self.tokens
         args: list = []
-        for read, what in readers:
+        for read, extra in readers:
             if args:
                 self.punct(",")
-            args.append(read(self) if what is None else read(self, what))
-        # cross-checks of the scalars run before any operand is parsed
-        if cls is Alter and args[0] > args[2]:
-            raise self.error(f"alter slot {args[0]} exceeds cycle {args[2]}", at)
-        if cls is Subset and None not in args and args[0] > args[1]:
-            raise self.error(f"subset bounds {args[0]}..{args[1]} are inverted", at)
+            args.append(read(self) if extra is None else read(self, extra))
+        if cls in _CROSS_CHECKS and (message := _CROSS_CHECKS[cls](*args)):
+            raise self.error(message, at)
         for _ in operands:
             if args:
                 if tokens[self.pos] != ",":
@@ -495,12 +510,12 @@ def validate(doc: CalendarDoc) -> ValidationReport:
     """Static checks on a document, such as one assembled programmatically.
 
     They cover what the parser enforces (names defined earlier and only
-    once, parameter ranges, ``subset`` only outermost) and one rule it does
-    not: a name bound to a ``subset`` may not be an operand
-    (``bounded-operand``).  Findings come per definition in file order, and
-    within one in pre-order of its syntax.  Semantic operand checks that
-    need converted representations (partitions, label alignment, the alter
-    lower bound) are performed by the converter and reported there.
+    once, ``subset`` only outermost, and the first scalar rule a node breaks,
+    as its one ``parameter-range`` finding) and one rule it does not: a name
+    bound to a ``subset`` may not be an operand (``bounded-operand``).
+    Findings come per definition in file order, and within one in pre-order
+    of its syntax.  Operand checks that need converted representations
+    (partitions, label alignment, the alter lower bound) are the converter's.
     """
     findings: list[Finding] = []
     known = {doc.bottom}
@@ -523,25 +538,13 @@ def validate(doc: CalendarDoc) -> ValidationReport:
             elif kind is not Bottom:
                 if kind is Subset and node is not expr:  # no node contains itself
                     findings.append(Finding(name, "subset-not-outermost", "subset must be the outermost operation"))
-                elif kind in _RANGES and (message := _RANGES[kind](node)):
+                elif (check := SCALAR_RULES.get(kind)) and (message := check(node)):
                     findings.append(Finding(name, "parameter-range", message))
                 stack.extend(reversed(_split(node)[3]))  # leftmost operand first
         if isinstance(expr, Subset):
             bounded.add(name)
         known.add(name)
     return ValidationReport(tuple(findings))
-
-
-# node class -> the message of its parameter-range finding, or a false value
-_RANGES = {
-    Subset: lambda e: e.lo is not None and e.hi is not None and e.lo > e.hi
-    and f"subset bounds {e.lo}..{e.hi} inverted",
-    Group: lambda e: e.size < 1 and f"group size {e.size} must be positive",
-    Alter: lambda e: not 1 <= e.slot <= e.cycle and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
-    SelectDown: lambda e: (e.start == 0 or e.count < 1)
-    and f"selection needs start != 0 and count > 0, got {e.start}, {e.count}",
-}
-_RANGES[SelectIntersect] = _RANGES[SelectDown]
 
 
 # ---------------------------------------------------------------------------

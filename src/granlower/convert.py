@@ -7,12 +7,12 @@ and assemble those granules' contents.  The raw labeled granules are then
 re-anchored with :func:`granlower.core.normalize_alignment`, so every
 converter output is aligned to bottom instant 1.
 
-:func:`convert_expression` walks an expression with its own stack.  One
-table, keyed by node class, gives each operator's scalar check, empty-operand
-rule and operand preconditions, which the walk applies before the converter
-runs; converted subexpressions are cached by structural equality, and period
-minimization optionally follows every operation.  :func:`convert_calendar`
-converts one definition at a time, resolving names through that cache.
+:func:`convert_expression` walks an expression with its own stack.  Before
+a node's converter runs, the walk applies its ``algebra.SCALAR_RULES`` and
+then one table's empty-operand rule and operand preconditions; converted
+subexpressions are cached by structural equality, and period minimization
+optionally follows every operation.  :func:`convert_calendar` converts one
+definition at a time, resolving names through that cache.
 """
 
 from __future__ import annotations
@@ -354,48 +354,35 @@ def gstp_relabel(g: Rep) -> Rep:
 MAX_NESTING = 1000  # the deepest operator nesting convert_expression converts
 
 
-def _selection_error(node) -> str | None:
-    try:
-        delta_select((), node.start, node.count)
-    except ValueError as exc:
-        return str(exc)
-
-
 _UNBOUNDED = ((0, False), (1, False))
 
-# node class -> (name, check, convert, empty, pre), how the driver converts it:
+# node class -> (name, convert, empty, pre), how the driver converts it:
 # - name: the operator in error paths and precondition messages;
-# - check: the node's scalar error message or a false value, if it has scalars;
 # - convert: (node, operands, max_period) -> Rep, looking the converter up as
 #   a module global when it runs, so that a wrapper installed there sees it;
 # - empty: per operand, what an empty one makes of the result: the operand
 #   at an index (its own for an empty result), or an error's text;
 # - pre: (operand index, full-integer as well as unbounded?), in check order.
 _TABLE = {
-    ast.Bottom: ("bottom", None, lambda e, o, cap: BOTTOM_REP, (), ()),
-    ast.Group: ("group", lambda e: e.size < 1 and f"group size must be positive, got {e.size}",
-                lambda e, o, cap: convert_group(*o, e.size, cap), (0,), ((0, True),)),
-    ast.Alter: ("alter", lambda e: not 1 <= e.slot <= e.cycle
-                and f"alter needs 1 <= slot <= cycle, got {e.slot}, {e.cycle}",
-                lambda e, o, cap: convert_alter(*o, e.slot, e.change, e.cycle, cap),
+    ast.Bottom: ("bottom", lambda e, o, cap: BOTTOM_REP, (), ()),
+    ast.Group: ("group", lambda e, o, cap: convert_group(*o, e.size, cap), (0,), ((0, True),)),
+    ast.Alter: ("alter", lambda e, o, cap: convert_alter(*o, e.slot, e.change, e.cycle, cap),
                 ("alter unit is empty and cannot partition the base", 1), ((1, True), (0, True))),
-    ast.Shift: ("shift", None, lambda e, o, cap: convert_shift(o[0], e.offset), (0,), ((0, True),)),
-    ast.Combine: ("combine", None, lambda e, o, cap: convert_combine(*o, cap), (0, 1), _UNBOUNDED),
-    ast.AnchoredGroup: ("anchor", None, lambda e, o, cap: convert_anchored(*o, cap), (
+    ast.Shift: ("shift", lambda e, o, cap: convert_shift(o[0], e.offset), (0,), ((0, True),)),
+    ast.Combine: ("combine", lambda e, o, cap: convert_combine(*o, cap), (0, 1), _UNBOUNDED),
+    ast.AnchoredGroup: ("anchor", lambda e, o, cap: convert_anchored(*o, cap), (
         "anchor granularity is not a subgranularity of an empty filler", 1), ((0, True), (1, False))),
-    ast.Subset: ("subset", lambda e: None not in (e.lo, e.hi) and e.lo > e.hi
-                 and f"subset bounds {e.lo}..{e.hi} are inverted",
-                 lambda e, o, cap: convert_subset(*o, e.lo, e.hi), (0,), ((0, False),)),
-    ast.SelectDown: ("selectdown", _selection_error, lambda e, o, cap: convert_select_down(
+    ast.Subset: ("subset", lambda e, o, cap: convert_subset(*o, e.lo, e.hi), (0,), ((0, False),)),
+    ast.SelectDown: ("selectdown", lambda e, o, cap: convert_select_down(
         *o, e.start, e.count, cap), (0, 1), _UNBOUNDED),
-    ast.SelectUp: ("selectup", None, lambda e, o, cap: convert_select_up(*o, cap), (0, 1), _UNBOUNDED),
-    ast.SelectIntersect: ("selectintersect", _selection_error, lambda e, o, cap: convert_select_intersect(
+    ast.SelectUp: ("selectup", lambda e, o, cap: convert_select_up(*o, cap), (0, 1), _UNBOUNDED),
+    ast.SelectIntersect: ("selectintersect", lambda e, o, cap: convert_select_intersect(
         *o, e.start, e.count, cap), (0, 1), _UNBOUNDED),
-    ast.Union: ("union", None, lambda e, o, cap: convert_set_op(*o, "union", cap), (1, 0), _UNBOUNDED),
+    ast.Union: ("union", lambda e, o, cap: convert_set_op(*o, "union", cap), (1, 0), _UNBOUNDED),
     # the intersection keeps the set-operation name convert_set_op knows it by
-    ast.Intersection: ("intersection", None, lambda e, o, cap: convert_set_op(
+    ast.Intersection: ("intersection", lambda e, o, cap: convert_set_op(
         *o, "intersection", cap), (0, 1), _UNBOUNDED),
-    ast.Difference: ("difference", None, lambda e, o, cap: convert_set_op(
+    ast.Difference: ("difference", lambda e, o, cap: convert_set_op(
         *o, "difference", cap), (0, 0), _UNBOUNDED),
 }
 
@@ -444,7 +431,7 @@ def convert_expression(
             here = path + (row[0],)
             if type(node) is ast.Subset and path:
                 raise ConversionError("subset below the outermost operation", here)
-            arity = len(row[3])
+            arity = len(row[2])
             if arity and len(here) > MAX_NESTING:
                 raise ConversionError("expression nested too deeply to convert")
             stack.append((node, here, len(done)))
@@ -456,13 +443,13 @@ def convert_expression(
 def _convert(expr, minimize, cache, max_period, here=(), operands=None):
     """One node reference: without ``operands``, its cached rep; with them,
     the node converted from its converted operands, minimized and cached.
-    The first check that fails names the error: the scalars, then the empty
-    operands, then the operand preconditions."""
+    The first check that fails names the error: ``algebra.SCALAR_RULES``,
+    then the empty operands, then the operand preconditions."""
     if operands is None:
         return cache[expr]
-    name, check, convert, empty, pre = _TABLE[type(expr)]
+    name, convert, empty, pre = _TABLE[type(expr)]
     try:
-        if check and (message := check(expr)):
+        if (check := ast.SCALAR_RULES.get(type(expr))) and (message := check(expr)):
             raise ConversionError(message)
         # the last empty operand decides; error texts come first in every
         # row, so a result beats an error

@@ -385,16 +385,16 @@ class TestValidate:
         )
         # per definition in file order, then in pre-order of its syntax
         assert [tuple(f) for f in validate(doc).findings] == [
-            ("s", "parameter-range", "subset bounds 5..2 inverted"),
-            ("x", "parameter-range", "group size 0 must be positive"),
+            ("s", "parameter-range", "subset bounds 5..2 are inverted"),
+            ("x", "parameter-range", "grouping size must be positive, got 0"),
             ("x", "unresolved-name", "'nope' is not defined earlier"),
             ("x", "subset-not-outermost", "subset must be the outermost operation"),
             ("x", "bounded-operand", "'s' carries subset bounds and cannot be an operand"),
             ("x", "duplicate-name", "'x' defined twice"),
-            ("x", "parameter-range", "alter needs 1 <= slot <= cycle, got 3, 2"),
-            ("x", "parameter-range", "selection needs start != 0 and count > 0, got 0, 1"),
+            ("x", "parameter-range", "alter slot 3 exceeds cycle 2"),
+            ("x", "parameter-range", "selection start must be nonzero"),
             ("d", "duplicate-name", "'d' defined twice"),
-            ("d", "parameter-range", "selection needs start != 0 and count > 0, got 1, 0"),
+            ("d", "parameter-range", "selection count must be positive, got 0"),
             ("d", "unresolved-name", "'later' is not defined earlier"),
             ("d", "bounded-operand", "'s' carries subset bounds and cannot be an operand"),
             ("d", "subset-not-outermost", "subset must be the outermost operation"),
@@ -407,6 +407,52 @@ class TestValidate:
             expr = ast.Shift(1, expr)
         doc = CalendarDoc("c", "d", (("x", ast.Subset(1, 2, expr)),))
         assert [f.rule for f in validate(doc).findings] == ["parameter-range", "unresolved-name"]
+
+
+# nodes whose scalars sit on and around every scalar rule's boundary, two bad
+# scalars in one node and unbounded subset sides among them
+_DAY, _WEEK = ast.Bottom(), ast.Name("week")
+BOUNDARY_NODES = [ast.Group(n, _DAY) for n in (-5, -1, 0, 1, 2)]
+BOUNDARY_NODES += [
+    ast.Alter(slot, 1, cycle, _DAY, _WEEK)
+    for slot, cycle in ((-1, 2), (0, 2), (1, 2), (2, 2), (3, 2), (1, 1), (2, 1), (1, 0), (0, 0), (0, -1), (3, 3))
+]
+BOUNDARY_NODES += [
+    cls(start, count, _DAY, _WEEK)
+    for cls in (ast.SelectDown, ast.SelectIntersect) for start in (-1, 0, 1) for count in (-1, 0, 1)
+]
+BOUNDARY_NODES += [
+    ast.Subset(lo, hi, _WEEK)
+    for lo, hi in ((None, None), (None, 0), (0, None), (5, None), (None, -5), (1, 1), (1, 2), (2, 1), (-1, -2), (0, -1))
+]
+
+
+class TestScalarRules:
+    def test_parser_validate_and_driver_agree(self):
+        """The parser (its message without the position), validate (its one
+        parameter-range finding) and the conversion driver reject the same
+        nodes, each with the same message."""
+        from granlower.convert import ConversionError, convert_calendar
+
+        disagreements = []
+        for node in BOUNDARY_NODES:
+            doc = CalendarDoc("c", "day", (("week", ast.Group(7, ast.Bottom())), ("x", node)))
+            parsed = validated = converted = None
+            try:
+                parse_calendar(print_calendar(doc))
+            except CalendarSyntaxError as exc:
+                parsed = str(exc).split(": ", 1)[1]
+            findings = validate(doc).findings
+            assert [f.rule for f in findings] in ([], ["parameter-range"])
+            if findings:
+                validated = findings[0].message
+            try:
+                convert_calendar(doc, ["x"])
+            except ConversionError as exc:
+                converted = exc.message
+            if not parsed == validated == converted:
+                disagreements.append((node, parsed, validated, converted))
+        assert len(BOUNDARY_NODES) == 44 and disagreements == []
 
 
 class TestRewrite:

@@ -671,13 +671,13 @@ E, B, S = KINDS["empty"], KINDS["bounded"], KINDS["sparse"]
 # (a result beats an error), then preconditions (alter's base before its unit),
 # then the operands in order
 ORDER = [
-    (ast.Group(0, E), "group: group size must be positive, got 0"),
-    (ast.Alter(0, 1, 2, ast.Bottom(), E), "alter: alter needs 1 <= slot <= cycle, got 0, 2"),
-    (ast.Alter(3, 1, 2, E, B), "alter: alter needs 1 <= slot <= cycle, got 3, 2"),
+    (ast.Group(0, E), "group: grouping size must be positive, got 0"),
+    (ast.Alter(0, 1, 2, ast.Bottom(), E), "alter: alter slot must be positive, got 0"),
+    (ast.Alter(3, 1, 2, E, B), "alter: alter slot 3 exceeds cycle 2"),
     (ast.Subset(9, 3, E), "subset: subset bounds 9..3 are inverted"),
     (ast.Subset(9, 3, B), "subset: subset bounds 9..3 are inverted"),
     (ast.SelectDown(0, 1, E, B), "selectdown: selection start must be nonzero"),
-    (ast.SelectIntersect(1, 0, B, E), "selectintersect: selection count must be positive"),
+    (ast.SelectIntersect(1, 0, B, E), "selectintersect: selection count must be positive, got 0"),
     (ast.Alter(1, 1, 2, E, E), "empty"),
     (ast.Alter(1, 1, 2, E, B), "alter: alter unit is empty and cannot partition the base"),
     (ast.Alter(1, 1, 2, B, S), not_full("alter")),
@@ -697,7 +697,7 @@ ORDER = [
     (ast.Group(2, ast.Subset(1, 5, ast.Group(0, ast.Bottom()))),
      "group > subset: subset below the outermost operation"),
     (ast.Union(ast.Group(0, ast.Bottom()), ast.Group(-1, ast.Bottom())),
-     "union > group: group size must be positive, got 0"),
+     "union > group: grouping size must be positive, got 0"),
 ]
 
 
@@ -738,9 +738,9 @@ class TestPreconditions:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda w: ast.Group(0, w), "group size must be positive, got 0"),
-            (lambda w: ast.Alter(0, 1, 2, ast.Bottom(), w), "alter needs 1 <= slot <= cycle, got 0, 2"),
-            (lambda w: ast.Alter(3, 1, 2, ast.Bottom(), w), "alter needs 1 <= slot <= cycle, got 3, 2"),
+            (lambda w: ast.Group(0, w), "grouping size must be positive, got 0"),
+            (lambda w: ast.Alter(0, 1, 2, ast.Bottom(), w), "alter slot must be positive, got 0"),
+            (lambda w: ast.Alter(3, 1, 2, ast.Bottom(), w), "alter slot 3 exceeds cycle 2"),
             (lambda w: ast.AnchoredGroup(EMPTY, w),
              "anchor granularity is not a subgranularity of an empty filler"),
             (lambda w: ast.Group(2, ast.Name("bounded")), "operand of group carries subset bounds"),
@@ -977,7 +977,7 @@ class TestConvertCalendar:
         "node, path, message",
         [
             (ast.SelectDown, ("selectdown",), "selection start must be nonzero"),
-            (ast.SelectIntersect, ("selectintersect",), "selection count must be positive"),
+            (ast.SelectIntersect, ("selectintersect",), "selection count must be positive, got 0"),
         ],
     )
     def test_bad_selection_parameters(self, node, path, message, empty_source):
