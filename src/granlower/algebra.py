@@ -212,6 +212,8 @@ def _scalar_rules(kinds: tuple, cross):
 
 # node class -> None, or (node) -> its first broken scalar rule's message or a false value
 SCALAR_RULES = {cls: _scalar_rules(kinds, _CROSS_CHECKS.get(cls)) for cls, kinds in OPERATORS.values()}
+# the one structural rule; the parser, validate and the convert driver all word it so
+SUBSET_NOT_OUTERMOST = "subset may only appear as the outermost operation of a definition"
 
 
 def _split(expr: CalExpr) -> tuple[str, tuple, tuple, tuple[CalExpr, ...]]:
@@ -407,9 +409,7 @@ class _Parser:
                 raise self.error(f"unknown granularity {word!r}", at)
             return _leaf(Name, (word,))
         if word == "subset" and not outermost:
-            raise self.error(
-                "subset may only appear as the outermost operation of a definition", at
-            )
+            raise self.error(SUBSET_NOT_OUTERMOST, at)
         self.punct("(")
         expr = self._operator_body(word, at, bottom, seen)
         self.punct(")")
@@ -537,7 +537,7 @@ def validate(doc: CalendarDoc) -> ValidationReport:
                     )
             elif kind is not Bottom:
                 if kind is Subset and node is not expr:  # no node contains itself
-                    findings.append(Finding(name, "subset-not-outermost", "subset must be the outermost operation"))
+                    findings.append(Finding(name, "subset-not-outermost", SUBSET_NOT_OUTERMOST))
                 elif (check := SCALAR_RULES.get(kind)) and (message := check(node)):
                     findings.append(Finding(name, "parameter-range", message))
                 stack.extend(reversed(_split(node)[3]))  # leftmost operand first

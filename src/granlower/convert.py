@@ -18,6 +18,7 @@ definition at a time, resolving names through that cache.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import algebra as ast
@@ -118,10 +119,8 @@ def convert_group(g: PeriodicRep, size: int, max_period: int = DEFAULT_MAX_PERIO
     period = _cap(g.period * size // d, max_period)
     step = g.step // d
     first = (g.anchor_label - 1) // size + 1
-    raw = {
-        i: g.span((i - 1) * size + 1, i * size)
-        for i in range(first, first + step)
-    }
+    firsts = range((first - 1) * size + 1, (first + step - 1) * size + 1, size)
+    raw = dict(zip(range(first, first + step), g.spans(firsts, (a + size - 1 for a in firsts))))
     return normalize_alignment(raw, period, step)
 
 
@@ -133,6 +132,22 @@ def _alter_period(step: int, p1: int, n1: int, p2: int, n2: int, change: int, cy
     if den != 1 or num < 1:
         raise ConversionError(f"alter produced an invalid period {num if den == 1 else f'{num}/{den}'}")
     return num
+
+
+def _tiled(table: list[int], l0: int, rows: int, advance: int, slot: int, cycle: int, change: int, count: int):
+    """``table[(i - l0) % rows] + (i - l0) // rows * advance + ceil((i - slot) / cycle) * change``
+    for ``i`` from 1 to ``count``, one comprehension per stretch over which
+    both quotients hold; it stops at the first row ``table`` lacks."""
+    out, i = [], 1
+    while i <= count:
+        cycles, row = divmod(i - l0, rows)
+        n = min(len(table) - row, count + 1 - i, (slot - i) % cycle + 1)
+        if n < 1:
+            break
+        add = cycles * advance - (slot - i) // cycle * change
+        out += [v + add for v in table[row : row + n]]
+        i += n
+    return out
 
 
 def convert_alter(
@@ -170,30 +185,27 @@ def convert_alter(
     l0 = spans[0][0]
     rows = horizon // p1 * n1
     advance = horizon // p2 * n2
-    raw = {}
-    for i in range(1, step + 1):
-        cycles, row = divmod(i - l0, rows)
-        _, b, t = spans[row]
-        b += cycles * advance
-        t += cycles * advance
-        h = (i - slot) // cycle + 1
-        if (i - slot) % cycle == 0:
-            b2 = b + (h - 1) * change
-        else:
-            b2 = b + h * change
-        t2 = t + h * change
-        if b2 > t2:
-            raise ConversionError(f"alter shrank granule {i} away entirely")
-        raw[i] = unit.span(b2, t2)
-    return normalize_alignment(raw, period, step)
+    # granule i is row i's unit labels moved by the changes of the slot
+    # granules up to it: ceil((i - slot) / cycle) at its start, and one more
+    # at its end when i is a slot
+    labels, table = range(1, step + 1), spans[:rows]
+    firsts = _tiled([b for _, b, _ in table], l0, rows, advance, slot, cycle, change, step)
+    lasts = _tiled([t for _, _, t in table], l0, rows, advance, slot - 1, cycle, change, step)
+    # the first row that shrinks away or that the table lacks (a base not
+    # full-integer labeled) fails, after the spans of the rows before it
+    if len(firsts) < step or any(map(operator.gt, firsts, lasts)):
+        i = next((i for i, b, t in zip(labels, firsts, lasts) if b > t), len(firsts) + 1)
+        unit.spans(firsts[: i - 1], lasts[: i - 1])
+        table[(i - l0) % rows]  # IndexError when the table lacks the row
+        raise ConversionError(f"alter shrank granule {i} away entirely")
+    return normalize_alignment(dict(zip(labels, unit.spans(firsts, lasts))), period, step)
 
 
 def convert_shift(g: PeriodicRep, offset: int) -> Rep:
     raw = {a + offset: g._runs[a] for a in g.labels}
     if g.anchor_label != g.first_label:  # a window built by hand may start elsewhere
         return normalize_alignment(raw, g.period, g.step)
-    # the anchor moved with every label, and min gives the key object that first_label holds
-    return PeriodicRep.from_runs(g.period, g.step, raw, anchor=min(raw))
+    return PeriodicRep.from_runs(g.period, g.step, raw, anchor=g.first_label + offset)  # moved with every label
 
 
 def convert_combine(
@@ -219,7 +231,7 @@ def convert_anchored(
     period, step = _frame(anchors, filler, max_period)
     if anchors.anchor_label != filler.anchor_label:
         labels.insert(0, anchors.prev_label(anchors.anchor_label))
-    raw = {i: filler.span(i, nxt - 1) for i, nxt in zip(labels, labels[1:])}
+    raw = dict(zip(labels, filler.spans(labels, [nxt - 1 for nxt in labels[1:]])))
     return normalize_alignment(raw, period, step)
 
 
@@ -430,7 +442,7 @@ def convert_expression(
                 )
             here = path + (row[0],)
             if type(node) is ast.Subset and path:
-                raise ConversionError("subset below the outermost operation", here)
+                raise ConversionError(ast.SUBSET_NOT_OUTERMOST, here)
             arity = len(row[2])
             if arity and len(here) > MAX_NESTING:
                 raise ConversionError("expression nested too deeply to convert")

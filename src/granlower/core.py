@@ -35,11 +35,6 @@ class GranularityError(Exception):
     """A periodic representation, or a query against one, is malformed."""
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # exact ceiling of a/b for positive b
-    return -((-a) // b)
-
-
 def _encode(indices: Iterable[int]) -> Runs:
     """Runs of an iterable of bottom indices; an empty one raises GranularityError."""
     out: list[tuple[int, int]] = []
@@ -147,9 +142,9 @@ class PeriodicRep:
     the granule covering the smallest positive covered instant, which
     :attr:`anchor_label` names.  Direct construction accepts any valid window.
     ``gapless`` says whether the granules cover every bottom instant.
-    After construction no attribute can be set or deleted, except that the
-    caches ``_cover`` and ``_anchor`` are filled in once, lazily or (for the
-    anchor) by the code that built the window.
+    After construction no attribute can be set or deleted.  The caches
+    ``_cover`` and ``_anchor`` are filled in once, lazily or (for the anchor)
+    by :meth:`from_runs`, through ``object.__setattr__``.
     """
 
     __slots__ = (
@@ -222,9 +217,7 @@ class PeriodicRep:
         self.__class__ = PeriodicRep
 
     def __setattr__(self, name: str, value: object) -> None:
-        if name not in ("_cover", "_anchor"):
-            raise AttributeError(f"PeriodicRep is immutable; cannot set {name!r}")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"PeriodicRep is immutable; cannot set {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"PeriodicRep is immutable; cannot delete {name!r}")
@@ -239,10 +232,12 @@ class PeriodicRep:
     ) -> "PeriodicRep":
         """Build from canonical runs directly; the dict is kept, not copied.
 
-        ``anchor``, when given, must be the granularity's :attr:`anchor_label`.
+        ``anchor``, when given, must be the granularity's :attr:`anchor_label`;
+        when it is the first label, the rep keeps the key object
+        :attr:`first_label` holds rather than a second int.
         """
         rep = _Unsealed(period, step, _Granules(runs), bounds)
-        rep._anchor = anchor
+        object.__setattr__(rep, "_anchor", rep.first_label if anchor == rep.first_label else anchor)
         return rep
 
     def unbounded(self) -> "PeriodicRep":
@@ -324,7 +319,7 @@ class PeriodicRep:
 
     def _cover_index(self) -> _CoverIndex:
         if self._cover is None:
-            self._cover = _CoverIndex([self._runs[a] for a in self.labels])
+            object.__setattr__(self, "_cover", _CoverIndex([self._runs[a] for a in self.labels]))
         return self._cover
 
     def _seek(self, x: int, ends: bool = False, above: bool = False) -> int:
@@ -372,21 +367,29 @@ class PeriodicRep:
             found.append(self.labels[i] + cycles * self.step)
         return found
 
+    def spans(self, firsts: Iterable[int], lasts: Iterable[int]) -> list[Runs]:
+        """:meth:`span` of each pair of ``firsts`` and ``lasts``, in order."""
+        if not self.gapless:
+            return [
+                join_runs(shift_runs(g, d) for _, g, d in map(self._at, range(self._rank(a), self._rank(b) + 1)))
+                for a, b in zip(firsts, lasts)
+            ]
+        # the two endpoints only, as _locate finds them: f + (a - f) % n is
+        # the window label of a's residue
+        f, n, p, runs = self.first_label, self.step, self.period, self._runs
+        if n == 1:  # one residue: granule a is the window's moved by a - f periods
+            lo, hi = runs[f][0][0] - f * p, runs[f][-1][1] - f * p
+            return [((lo + a * p, hi + b * p),) for a, b in zip(firsts, lasts)]
+        return [((runs[f + (a - f) % n][0][0] + (a - f) // n * p, runs[f + (b - f) % n][-1][1] + (b - f) // n * p),)
+                for a, b in zip(firsts, lasts)]
+
     def span(self, first: int, last: int) -> Runs:
         """Runs of the union of granules ``first`` to ``last``, both in the label set.
 
         Granules are time-ordered, so the union is every covered instant from
         the start of ``first`` to the end of ``last``.
         """
-        if self.gapless:
-            # the two endpoints only, as _locate finds them: k0 and k1 are
-            # the window labels of their residues
-            f, n, p = self.first_label, self.step, self.period
-            k0, k1 = f + (first - f) % n, f + (last - f) % n
-            lo = self._runs[k0][0][0] + (first - k0) // n * p
-            return ((lo, self._runs[k1][-1][1] + (last - k1) // n * p),)
-        positions = range(self._rank(first), self._rank(last) + 1)
-        return join_runs(shift_runs(g, d) for _, g, d in map(self._at, positions))
+        return self.spans((first,), (last,))[0]
 
     def next_label(self, label: int) -> int:
         """Smallest label of the (unbounded core) label set strictly above ``label``."""
@@ -416,7 +419,7 @@ class PeriodicRep:
     def anchor_label(self) -> int:
         """Label of the granule covering the smallest positive covered instant."""
         if self._anchor is None:
-            self._anchor = _anchor_label(self._runs.items(), self.period, self.step)
+            object.__setattr__(self, "_anchor", _anchor_label(self._runs.items(), self.period, self.step))
         return self._anchor
 
     # -- serialization ---------------------------------------------------
@@ -532,30 +535,38 @@ def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) ->
     which the result keeps as its :attr:`~PeriodicRep.anchor_label`.  An
     empty input yields :class:`EmptyRep`.
     """
-    families: dict[int, tuple[int, Runs]] = {}
-    for lab in sorted(lab for lab, g in granules.items() if g):
-        g = granules[lab]
-        res = lab % step
-        if res in families:
-            lab0, g0 = families[res]
-            cycles = (lab - lab0) // step
-            if lab0 + cycles * step != lab or shift_runs(g0, cycles * period) != g:
-                raise GranularityError(
-                    f"granules at labels {lab0} and {lab} break the stated "
-                    f"(period={period}, step={step}) repetition"
-                )
-        else:
-            families[res] = (lab, g)
-    if not families:
+    labels = sorted(granules)
+    if not all(granules.values()):
+        labels = [lab for lab in labels if granules[lab]]
+    if not labels:
         return EmptyRep()
-    anchor = _anchor_label(families.values(), period, step)
-    explicit = {}
-    for lab, g in families.values():
-        s = _ceil_div(anchor - lab, step)  # the copy at or just above the anchor
-        explicit[lab + s * step] = shift_runs(g, s * period) if s else g
-    rep = PeriodicRep.from_runs(period, step, explicit)
-    rep._anchor = rep.first_label  # equal to anchor, and no second int to hold
-    return rep
+    if labels[-1] - labels[0] < step:
+        # one window: no residue repeats, so a sorted copy holds every family
+        families = dict(granules) if list(granules) == labels else {lab: granules[lab] for lab in labels}
+    else:
+        seen: dict[int, tuple[int, Runs]] = {}
+        for lab in labels:
+            g = granules[lab]
+            res = lab % step
+            if res in seen:
+                lab0, g0 = seen[res]
+                cycles = (lab - lab0) // step
+                if lab0 + cycles * step != lab or shift_runs(g0, cycles * period) != g:
+                    raise GranularityError(
+                        f"granules at labels {lab0} and {lab} break the stated "
+                        f"(period={period}, step={step}) repetition"
+                    )
+            else:
+                seen[res] = (lab, g)
+        families = dict(seen.values())
+    anchor = _anchor_label(families.items(), period, step)
+    explicit = families
+    if anchor != labels[0] or labels[-1] - anchor >= step:  # some label moves
+        explicit = {}
+        for lab, g in families.items():
+            s = -((lab - anchor) // step)  # the copy at or just above the anchor
+            explicit[lab + s * step] = shift_runs(g, s * period) if s else g
+    return PeriodicRep.from_runs(period, step, explicit, anchor=anchor)
 
 
 def consecutive_spans(
@@ -569,28 +580,34 @@ def consecutive_spans(
     of consecutive unit granules, with no unit granule left between two base
     granules.
     """
-    labels = base.lhat(horizon)
-    labels.append(base.next_label(labels[-1]))
-    spans = []
-    for lab in labels:
-        g = base.runs_of(lab)
-        b = unit.up(g[0][0])
-        t = unit.up(g[-1][1])
-        if b is None or t is None:
-            raise GranularityError(
-                f"granule {lab} is not covered by the unit granularity"
-            )
-        if unit.span(b, t) != g:
-            raise GranularityError(
-                f"granule {lab} is not a union of consecutive unit granules"
-            )
-        spans.append((lab, b, t))
-    for (_, _, t_cur), (_, b_nxt, _) in zip(spans, spans[1:]):
-        if b_nxt != t_cur + 1:
-            raise GranularityError(
-                "a unit granule falls between two granules of the coarser operand"
-            )
-    return spans
+    if horizon < 1 or horizon % base.period:
+        raise GranularityError(f"horizon {horizon} is not a positive multiple of period {base.period}")
+    # lhat's positions, from the first granule ending at a positive instant
+    # (the one straddling instant 1 recurs at the horizon's end), and the next
+    n0 = base._rank(base.anchor_label)
+    _, g, d = base._at(n0)
+    positions = range(n0, n0 + horizon // base.period * len(base.labels) + 1 + (g[0][0] + d < 1))
+    labels, firsts, lasts, granules = [], [], [], []
+    bounded = base.bounds is not None
+    for lab, g, d in map(base._at, positions):
+        g = shift_runs(g, d) if d else g
+        b, t = unit.up(g[0][0]), unit.up(g[-1][1])
+        if b is None or t is None or bounded and not base._in_bounds(lab):
+            break
+        labels.append(lab)
+        firsts.append(b)
+        lasts.append(t)
+        granules.append(g)
+    # a granule before the first uncovered one fails first, as it comes first
+    for a, g, runs in zip(labels, granules, unit.spans(firsts, lasts)):
+        if runs != g:
+            raise GranularityError(f"granule {a} is not a union of consecutive unit granules")
+    if len(labels) < len(positions):
+        base.runs_of(lab)[0]  # a label off the bounds has no runs to index: IndexError
+        raise GranularityError(f"granule {lab} is not covered by the unit granularity")
+    if any(b != t + 1 for t, b in zip(lasts, firsts[1:])):
+        raise GranularityError("a unit granule falls between two granules of the coarser operand")
+    return list(zip(labels, firsts, lasts))
 
 
 def mindist(g1: PeriodicRep, g2: PeriodicRep) -> int:

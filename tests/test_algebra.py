@@ -388,7 +388,7 @@ class TestValidate:
             ("s", "parameter-range", "subset bounds 5..2 are inverted"),
             ("x", "parameter-range", "grouping size must be positive, got 0"),
             ("x", "unresolved-name", "'nope' is not defined earlier"),
-            ("x", "subset-not-outermost", "subset must be the outermost operation"),
+            ("x", "subset-not-outermost", "subset may only appear as the outermost operation of a definition"),
             ("x", "bounded-operand", "'s' carries subset bounds and cannot be an operand"),
             ("x", "duplicate-name", "'x' defined twice"),
             ("x", "parameter-range", "alter slot 3 exceeds cycle 2"),
@@ -397,7 +397,7 @@ class TestValidate:
             ("d", "parameter-range", "selection count must be positive, got 0"),
             ("d", "unresolved-name", "'later' is not defined earlier"),
             ("d", "bounded-operand", "'s' carries subset bounds and cannot be an operand"),
-            ("d", "subset-not-outermost", "subset must be the outermost operation"),
+            ("d", "subset-not-outermost", "subset may only appear as the outermost operation of a definition"),
         ]
 
     def test_deep_nesting_is_no_recursion(self):

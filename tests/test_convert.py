@@ -275,6 +275,29 @@ class TestAlterTable:
             convert_alter(BOTTOM_REP, week, 1, -4, 4)
         assert str(err.value) == "alter shrank granule 1 away entirely"
 
+    @pytest.mark.parametrize(
+        "unit, base, scalars, error",
+        [
+            # the base's bounds leave its granule 1 without runs
+            ((1, 2, {6: (0,)}), (8, 3, {-4: (6,), -3: (8, 9), -2: (10, 11, 13)}, (5, 5)), (2, -1, 3),
+             (IndexError, ("tuple index out of range",))),
+            # a base short of full-integer labels: the table lacks a row
+            ((2, 2, {4: (5,), 5: (6,)}), (1, 4, {6: (3,)}), (3, 3, 2),
+             (IndexError, ("list index out of range",))),
+            # a unit without label 6's residue fails at that row's span,
+            # before a later row that the table lacks
+            ((5, 6, {2: (0,), 3: (1, 2), 4: (3,), 5: (4,)}), (5, 5, {7: (-1, 0), 9: (1, 2, 3)}), (3, 3, 2),
+             (KeyError, (6,))),
+        ],
+        ids=["bounded_base", "base_not_full", "unit_not_full"],
+    )
+    def test_direct_calls_fail_at_the_first_failing_row(self, unit, base, scalars, error):
+        # past the driver's preconditions, alter fails where a walk of the
+        # base labels and then the rows, one at a time, fails first
+        with pytest.raises(error[0]) as err:
+            convert_alter(PeriodicRep(*unit), PeriodicRep(*base), *scalars)
+        assert err.value.args == error[1]
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_definition(self, data):
@@ -695,7 +718,7 @@ ORDER = [
     (ast.Intersection(B, E), "empty"),
     (ast.Intersection(E, B), "empty"),
     (ast.Group(2, ast.Subset(1, 5, ast.Group(0, ast.Bottom()))),
-     "group > subset: subset below the outermost operation"),
+     "group > subset: subset may only appear as the outermost operation of a definition"),
     (ast.Union(ast.Group(0, ast.Bottom()), ast.Group(-1, ast.Bottom())),
      "union > group: grouping size must be positive, got 0"),
 ]

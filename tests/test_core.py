@@ -247,6 +247,18 @@ class TestImmutable:
         assert rep.up(15) == 5 and rep.up(22) == 7 and rep.expand(5) == tuple(range(15, 20))
         assert rep.lhat(14) == [1, 2, 3, 4] and rep == PeriodicRep(7, 2, {3: range(8, 13), 4: (13, 14)})
 
+    def test_caches_cannot_be_set_from_outside(self):
+        # a lowered rep: normalize_alignment hands its anchor to the constructor
+        rep = normalize_alignment({40: ((1, 7),), 41: ((8, 14),), 42: ((15, 21),)}, 7, 1)
+        assert rep.anchor_label == 40 and rep.up(8) == 41  # the cover index is built
+        cover = rep._cover
+        with pytest.raises(AttributeError):
+            rep._anchor = 5
+        with pytest.raises(AttributeError):
+            rep._cover = None
+        assert rep.anchor_label == 40 and rep._anchor is rep.first_label
+        assert rep._cover is cover and rep.up(8) == 41
+
     def test_repr_shows_plain_window(self, week_rep):
         assert repr(week_rep) == "PeriodicRep(period=7, step=1, explicit={1: (1, 2, 3, 4, 5, 6, 7)})"
 

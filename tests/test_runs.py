@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from granlower.algebra import parse_calendar
 from granlower.convert import convert_calendar, convert_subset
-from granlower.core import EmptyRep, PeriodicRep, normalize_alignment
+from granlower.core import (
+    EmptyRep,
+    GranularityError,
+    PeriodicRep,
+    consecutive_spans,
+    normalize_alignment,
+    shift_runs,
+)
 from granlower.minimize import minimize
 
 from .conftest import scaled
@@ -23,10 +30,12 @@ from .test_cli import deadline
 
 
 @st.composite
-def raw_windows(draw):
+def raw_windows(draw, gapless=False):
     """``(period, step, {label: sorted indices})``: one valid window, any offset."""
     period = draw(st.integers(1, 16))
-    covered = sorted(draw(st.sets(st.integers(1, period), min_size=1, max_size=period)))
+    covered = list(range(1, period + 1)) if gapless else sorted(
+        draw(st.sets(st.integers(1, period), min_size=1, max_size=period))
+    )
     count = draw(st.integers(1, min(4, len(covered))))
     cuts = sorted(draw(st.sets(st.integers(1, len(covered) - 1), min_size=count - 1,
                                max_size=count - 1))) if count > 1 else []
@@ -101,6 +110,93 @@ def test_lhat_matches_instants(raw, k):
     period, step, window = raw
     rep, brute = PeriodicRep(period, step, window), Brute(*raw)
     assert rep.lhat(k * period) == brute.labels(1, k * period)
+
+
+@given(raw_windows(gapless=True), st.integers(1, 3))
+def test_consecutive_spans_walks_lhat_and_one_more(raw, k):
+    # the bottom partitions any gapless granularity; the walk takes the
+    # labels lhat finds, a granule straddling instant 1 among them, and the next
+    period, step, window = raw
+    rep, bottom = PeriodicRep(*raw), PeriodicRep(1, 1, {1: (1,)})
+    labels = rep.lhat(k * period)
+    spans = consecutive_spans(rep, bottom, k * period)
+    assert [a for a, _, _ in spans] == labels + [rep.next_label(labels[-1])]
+    assert all((b, t) == (rep.expand(a)[0], rep.expand(a)[-1]) for a, b, t in spans)
+
+
+def outcome(call):
+    """What a call returns, or the type and arguments of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), exc.args
+
+
+@given(
+    st.one_of(raw_windows(), raw_windows(gapless=True)),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 6)), max_size=6),
+    st.integers(-30, 30),
+    st.integers(0, 6),
+)
+def test_spans_is_span_per_pair(raw, pairs, stray, where):
+    # pairs of the label set, each checked against the instants it covers,
+    # then a label that may lie outside the set: a gapless rep raises for
+    # it what span raises, at the same pair
+    period, step, window = raw
+    rep, brute = PeriodicRep(*raw), Brute(*raw)
+    firsts = [rep.next_label(x - 1) for x, _ in pairs]
+    lasts = [rep._at(rep._rank(a) + w)[0] for a, (_, w) in zip(firsts, pairs)]
+    expected = [
+        runs_from(x for label in range(a, b + 1) for x in brute.granule(label))
+        for a, b in zip(firsts, lasts)
+    ]
+    assert rep.spans(firsts, lasts) == expected
+    assert rep.spans(iter(firsts), iter(lasts)) == [rep.span(a, b) for a, b in zip(firsts, lasts)]
+    firsts.insert(min(where, len(firsts)), stray)
+    lasts.insert(min(where, len(lasts)), stray + where)
+    assert outcome(lambda: rep.spans(firsts, lasts)) == outcome(
+        lambda: [rep.span(a, b) for a, b in zip(firsts, lasts)]
+    )
+
+
+@given(
+    st.one_of(raw_windows(), raw_windows(gapless=True)),
+    st.integers(0, 4),
+    st.integers(-2, 2),
+    st.integers(1, 3).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_one_window_normalize_matches_the_general_path(raw, split, cycles, k, which, empty):
+    # the window rotated at split (the labels before it moved up a step) and
+    # moved by whole cycles, so that the anchor falls anywhere in it; a
+    # consistent copy of one granule k steps away forces the general path.
+    # A copy below its granule stands first for its residue, and so may come
+    # first in the window's insertion order: equal, but another repr
+    period, step, window = raw
+    labels = sorted(window)
+    one = {}
+    for i, a in enumerate(labels):
+        m = cycles + (i < split)
+        one[a + m * step] = runs_from(x + m * period for x in window[a])
+    if empty:
+        one[max(one) + 1] = ()  # an empty granule is no granule
+    lab = sorted(a for a in one if one[a])[which % len(labels)]
+    copy = dict(one)
+    copy[lab + k * step] = shift_runs(one[lab], k * period)
+    fast, general = normalize_alignment(one, period, step), normalize_alignment(copy, period, step)
+    assert fast == general and fast.anchor_label == general.anchor_label
+    assert k < 0 or repr(fast) == repr(general)
+    assert fast._anchor is fast.first_label and fast._runs is not one
+    assert fast == normalize_alignment({a: runs_from(g) for a, g in window.items()}, period, step)
+    # an inconsistent copy breaks the repetition, named by its two labels
+    copy[lab + k * step] = shift_runs(one[lab], k * period + 1)
+    low, high = sorted((lab, lab + k * step))
+    with pytest.raises(GranularityError) as caught:
+        normalize_alignment(copy, period, step)
+    assert str(caught.value) == (
+        f"granules at labels {low} and {high} break the stated (period={period}, step={step}) repetition"
+    )
 
 
 @given(raw_windows(), st.integers(-20, 20), st.integers(0, 30))
