@@ -49,7 +49,19 @@ class Record(tuple, metaclass=_RecordType):
         return tuple(self)
 
     def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
+        if not _ARITY.get(type(self)):  # a leaf, or a record that is no expression
+            return type(self) is type(other) and tuple.__eq__(self, other)
+        # operand pairs queue up in a list, so deep trees compare without recursion
+        pairs = [(self, other)]
+        for a, b in pairs:
+            n = _ARITY.get(type(a))
+            if a is b:
+                continue
+            if type(a) is not type(b) or (a[: len(a) - n] != b[: len(b) - n] if n else a != b):
+                return False
+            if n:
+                pairs += zip(a[len(a) - n :], b[len(b) - n :])
+        return True
 
     def __ne__(self, other):
         return not self == other
@@ -216,17 +228,49 @@ SCALAR_RULES = {cls: _scalar_rules(kinds, _CROSS_CHECKS.get(cls)) for cls, kinds
 SUBSET_NOT_OUTERMOST = "subset may only appear as the outermost operation of a definition"
 
 
-def _split(expr: CalExpr) -> tuple[str, tuple, tuple, tuple[CalExpr, ...]]:
-    """An operator node's keyword, scalar kinds, scalar values and operands."""
-    signature = _SIGNATURES.get(type(expr))
-    if signature is None:
-        raise TypeError(f"not a calendar expression: {expr!r}")
-    word, kinds = signature
-    return word, kinds, expr[: len(kinds)], expr[len(kinds) :]
+# node class -> how many operands it has, which are its last fields
+_ARITY = {Bottom: 0, Name: 0, **{cls: len(cls.__match_args__) - len(kinds) for cls, kinds in OPERATORS.values()}}
+MAX_NESTING = 1000  # the most operators one path down an expression may pass
+_CLOSE = object()  # on walk's stack, above the operator whose operands are done
 
 
-def children(expr: CalExpr) -> tuple[CalExpr, ...]:
-    return () if isinstance(expr, (Bottom, Name)) else _split(expr)[3]
+def walk(expr: CalExpr, leave=None, enter=None, too_deep=None):
+    """Walk ``expr`` depth first, operands left to right, from an explicit stack.
+
+    ``enter(node)`` sees each node on the way down; a result other than None
+    is the node's value, and its operands are skipped.  Otherwise ``leave(node,
+    values)`` turns its operands' values into its own, and the walk returns
+    the value of ``expr``.  With ``too_deep``, a path down ``expr`` through more
+    than :data:`MAX_NESTING` operators raises ``too_deep()`` first, found by a
+    pass that reaches each distinct node object once and hashes none."""
+    # an operator's operands are its last one or two fields: with no operator there, expr is one deep
+    if too_deep is not None and type(expr) in _SIGNATURES and (
+            type(expr[-1]) in _SIGNATURES or type(expr[-2]) in _SIGNATURES):
+        heights: dict[int, int] = {}  # id of an operator node -> the most operators on a path down from it
+        if walk(expr, lambda node, below: heights.setdefault(id(node), 1 + max(below)),
+                lambda node: heights.get(id(node)) if _ARITY.get(type(node)) else 0) > MAX_NESTING:
+            raise too_deep()
+    values: list = []  # each operand's value, until its operator's leave takes them
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if node is _CLOSE:
+            node = stack.pop()
+            n = _ARITY[type(node)]
+            value = leave(node, values[-n:])
+            del values[-n:]
+        elif enter is None or (value := enter(node)) is None:
+            n = _ARITY.get(type(node))
+            if n:
+                if leave is not None:
+                    stack += (node, _CLOSE)
+                stack += node[-1 : -n - 1 : -1]  # the operands, last first
+                continue
+            if n is None:
+                raise TypeError(f"not a calendar expression: {node!r}")
+            value = leave and leave(node, ())
+        values.append(value)
+    return values[0] if leave is not None else None
 
 
 class CalendarDoc(Record):
@@ -299,12 +343,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent, two frames a nesting level (expression, then
-    _operator_body).  The calls below them set the level, and the token, at
-    which RecursionError stops it; the deepest build a leaf (_leaf) and read
-    an operator's first scalar (ranged, integer, take, peek), and
-    tests/test_algebra.py pins their depth per Python version.  Most
-    punctuation is checked inline, never deeper than those calls."""
+    """Reads token texts left to right; an expression's open operators wait
+    on a stack, so nesting costs no recursion."""
 
     def __init__(self, text: str):
         self.text = text
@@ -384,7 +424,7 @@ class _Parser:
                 self.fresh_name(seen)  # not a fresh name and "=": this or punct raises the error
                 self.punct("=")
             self.pos += 2
-            expr = self.expression(bottom, seen, outermost=True)
+            expr = self.expression(bottom, seen)
             if tokens[self.pos] != ";":
                 self.punct(";")
             self.pos += 1
@@ -397,60 +437,59 @@ class _Parser:
             raise self.error(f"expected {word!r}")
         self.pos += 1
 
-    def expression(self, bottom: str, seen: set[str], outermost: bool = False) -> CalExpr:
-        at = self.pos
-        word = self.take("ident", "a granularity expression")
-        if word not in OPERATORS:
+    def expression(self, bottom: str, seen: set[str]) -> CalExpr:
+        """One definition's expression; an operator past :data:`MAX_NESTING`
+        open ones is an error at its keyword."""
+        opened: list[tuple[type, list, int]] = []  # per open operator: class, fields so far, field count
+        while True:
+            at = self.pos
+            word = self.take("ident", "a granularity expression")
+            if word in OPERATORS:
+                if word == "subset" and opened:
+                    raise self.error(SUBSET_NOT_OUTERMOST, at)
+                if len(opened) == MAX_NESTING:
+                    raise self.error("expression nested too deeply", at)
+                self.punct("(")
+                cls, readers, count = _BODIES[word]
+                args: list = []
+                for read, extra in readers:
+                    if args:
+                        self.punct(",")
+                    args.append(read(self) if extra is None else read(self, extra))
+                if cls in _CROSS_CHECKS and (message := _CROSS_CHECKS[cls](*args)):
+                    raise self.error(message, at)
+                if args:
+                    self.punct(",")
+                opened.append((cls, args, count))
+                continue
             if word in KEYWORDS:
                 raise self.error(f"unexpected keyword {word!r}", at)
-            if word == bottom:
-                return _leaf(Bottom, ())
-            if word not in seen:
+            if word != bottom and word not in seen:
                 raise self.error(f"unknown granularity {word!r}", at)
-            return _leaf(Name, (word,))
-        if word == "subset" and not outermost:
-            raise self.error(SUBSET_NOT_OUTERMOST, at)
-        self.punct("(")
-        expr = self._operator_body(word, at, bottom, seen)
-        self.punct(")")
-        return expr
-
-    def _operator_body(self, word: str, at: int, bottom: str, seen: set[str]) -> CalExpr:
-        cls, readers, operands = _BODIES[word]
-        tokens = self.tokens
-        args: list = []
-        for read, extra in readers:
-            if args:
-                self.punct(",")
-            args.append(read(self) if extra is None else read(self, extra))
-        if cls in _CROSS_CHECKS and (message := _CROSS_CHECKS[cls](*args)):
-            raise self.error(message, at)
-        for _ in operands:
-            if args:
-                if tokens[self.pos] != ",":
+            expr = _new(Bottom, ()) if word == bottom else _new(Name, (word,))
+            # expr is the next operand of the innermost open operator, which
+            # it may complete, and so on outwards
+            while opened:
+                cls, args, count = opened[-1]
+                args.append(expr)
+                if len(args) < count:
                     self.punct(",")
-                self.pos += 1
-            args.append(self.expression(bottom, seen))
-        return _new(cls, args)
+                    break
+                self.punct(")")
+                opened.pop()
+                expr = _new(cls, args)
+            else:
+                return expr
 
 
-# keyword -> (node class, per scalar its _Parser method and argument or None, the operand fields)
+# keyword -> (node class, per scalar its _Parser method and argument or None, its field count)
 _BODIES = {word: (cls, tuple((getattr(_Parser, kind), extra[0] if extra else None) for kind, *extra in kinds),
-                  cls.__match_args__[len(kinds) :]) for word, (cls, kinds) in OPERATORS.items()}
-
-
-def _leaf(cls: type, args: tuple, calls: int = 1) -> CalExpr:
-    # two calls, then tuple.__new__: as deep below expression() as the class call Name(word)
-    return _leaf(cls, args, calls - 1) if calls else _new(cls, args)
+                  len(cls.__match_args__)) for word, (cls, kinds) in OPERATORS.items()}
 
 
 def parse_calendar(text: str) -> CalendarDoc:
     """Parse calendar source text; raises :class:`CalendarSyntaxError` with position."""
-    parser = _Parser(text)
-    try:
-        return parser.document()
-    except RecursionError:  # the parser recurses once per nesting level
-        raise parser.error("expression nested too deeply") from None
+    return _Parser(text).document()
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +497,16 @@ def parse_calendar(text: str) -> CalendarDoc:
 
 
 def print_expr(expr: CalExpr, bottom: str) -> str:
-    if isinstance(expr, Bottom):
-        return bottom
-    if isinstance(expr, Name):
-        return expr.name
-    word, kinds, scalars, operands = _split(expr)
-    # only subset bounds are ever None: unbounded on that side
-    texts = [
-        str(x) if x is not None else "-inf" if kind == ("bound", "lo") else "inf"
-        for x, kind in zip(scalars, kinds)
-    ]
-    texts.extend(print_expr(e, bottom) for e in operands)
-    return f"{word}({', '.join(texts)})"
+    def leave(node: CalExpr, texts: list[str]) -> str:
+        word, kinds = _SIGNATURES[type(node)]
+        # only subset bounds are ever None: unbounded on that side
+        texts[:0] = [
+            str(x) if x is not None else "-inf" if kind == ("bound", "lo") else "inf"
+            for x, kind in zip(node, kinds)
+        ]
+        return f"{word}({', '.join(texts)})"
+
+    return walk(expr, leave, lambda node: bottom if type(node) is Bottom else node[0] if type(node) is Name else None)
 
 
 def print_calendar(doc: CalendarDoc) -> str:
@@ -520,27 +557,26 @@ def validate(doc: CalendarDoc) -> ValidationReport:
     findings: list[Finding] = []
     known = {doc.bottom}
     bounded: set[str] = set()
+
+    def check(node: CalExpr) -> None:
+        kind = type(node)
+        if kind is Name:
+            n = node[0]
+            if n not in known:
+                findings.append(Finding(name, "unresolved-name", f"{n!r} is not defined earlier"))
+            elif n in bounded:
+                findings.append(
+                    Finding(name, "bounded-operand", f"{n!r} carries subset bounds and cannot be an operand")
+                )
+        elif kind is Subset and node is not expr:  # no node contains itself
+            findings.append(Finding(name, "subset-not-outermost", SUBSET_NOT_OUTERMOST))
+        elif (rule := SCALAR_RULES.get(kind)) and (message := rule(node)):
+            findings.append(Finding(name, "parameter-range", message))
+
     for name, expr in doc.definitions:
         if name in known:
             findings.append(Finding(name, "duplicate-name", f"{name!r} defined twice"))
-        stack = [expr]  # an explicit stack, so nesting depth has no recursion limit
-        while stack:
-            node = stack.pop()
-            kind = type(node)
-            if kind is Name:
-                n = node[0]
-                if n not in known:
-                    findings.append(Finding(name, "unresolved-name", f"{n!r} is not defined earlier"))
-                elif n in bounded:
-                    findings.append(
-                        Finding(name, "bounded-operand", f"{n!r} carries subset bounds and cannot be an operand")
-                    )
-            elif kind is not Bottom:
-                if kind is Subset and node is not expr:  # no node contains itself
-                    findings.append(Finding(name, "subset-not-outermost", SUBSET_NOT_OUTERMOST))
-                elif (check := SCALAR_RULES.get(kind)) and (message := check(node)):
-                    findings.append(Finding(name, "parameter-range", message))
-                stack.extend(reversed(_split(node)[3]))  # leftmost operand first
+        walk(expr, enter=check)
         if isinstance(expr, Subset):
             bounded.add(name)
         known.add(name)
@@ -552,15 +588,9 @@ def validate(doc: CalendarDoc) -> ValidationReport:
 
 
 def references(expr: CalExpr) -> set[str]:
-    """The names ``expr`` mentions in its own syntax, found with an explicit stack."""
-    found = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Name):
-            found.add(node.name)
-        else:
-            stack.extend(children(node))
+    """The names ``expr`` mentions in its own syntax."""
+    found: set[str] = set()
+    walk(expr, enter=lambda node: found.add(node[0]) if type(node) is Name else None)
     return found
 
 
@@ -595,7 +625,7 @@ def rewrite_to_bottom(doc: CalendarDoc, target: str) -> CalExpr:
     """Close the definition of ``target`` over the bottom granularity.
 
     Definitions are closed in file order, so every name is replaced by its
-    already closed definition and recursion never leaves one definition's
+    already closed definition and the walk never leaves one definition's
     syntax.  The same object is reused wherever a name recurs, so
     structurally identical subexpressions are shared and the conversion
     cache sees each once.  Raises :class:`KeyError` for an unknown target.
@@ -604,16 +634,11 @@ def rewrite_to_bottom(doc: CalendarDoc, target: str) -> CalExpr:
         return Bottom()
     closed: dict[str, CalExpr] = {}
 
-    def close(expr: CalExpr) -> CalExpr:
-        if isinstance(expr, Name):
-            return closed[expr.name]
-        if isinstance(expr, Bottom):
-            return expr
-        _, _, scalars, operands = _split(expr)
-        return type(expr)(*scalars, *map(close, operands))
+    def close(node: CalExpr, operands: list[CalExpr]) -> CalExpr:
+        return _new(type(node), (*node[: len(node) - len(operands)], *operands)) if operands else node
 
     for name, expr in doc.definitions:
-        closed[name] = close(expr)
+        closed[name] = walk(expr, close, lambda node: closed[node[0]] if type(node) is Name else None)
         if name == target:
             return closed[name]
     raise KeyError(target)

@@ -7,9 +7,9 @@ and assemble those granules' contents.  The raw labeled granules are then
 re-anchored with :func:`granlower.core.normalize_alignment`, so every
 converter output is aligned to bottom instant 1.
 
-:func:`convert_expression` walks an expression with its own stack.  Before
-a node's converter runs, the walk applies its ``algebra.SCALAR_RULES`` and
-then one table's empty-operand rule and operand preconditions; converted
+:func:`convert_expression` lowers an expression in one ``algebra.walk``.
+Before a node's converter runs, the driver applies its ``algebra.SCALAR_RULES``
+and then one table's empty-operand rule and operand preconditions; converted
 subexpressions are cached by structural equality, and period minimization
 optionally follows every operation.  :func:`convert_calendar` converts one
 definition at a time, resolving names through that cache.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 
 from . import algebra as ast
 from .core import (
@@ -37,7 +38,7 @@ from .minimize import minimize as minimize_rep
 
 DEFAULT_MAX_PERIOD = 10**9
 
-BOTTOM_REP = PeriodicRep.from_runs(1, 1, {1: ((1, 1),)})
+BOTTOM_REP = PeriodicRep._from_runs(1, 1, {1: ((1, 1),)})
 
 
 class ConversionError(Exception):
@@ -205,7 +206,7 @@ def convert_shift(g: PeriodicRep, offset: int) -> Rep:
     raw = {a + offset: g._runs[a] for a in g.labels}
     if g.anchor_label != g.first_label:  # a window built by hand may start elsewhere
         return normalize_alignment(raw, g.period, g.step)
-    return PeriodicRep.from_runs(g.period, g.step, raw, anchor=g.first_label + offset)  # moved with every label
+    return PeriodicRep._from_runs(g.period, g.step, raw, anchor=g.first_label + offset)  # moved with every label
 
 
 def convert_combine(
@@ -246,7 +247,7 @@ def convert_subset(g: PeriodicRep, lo: int | None, hi: int | None) -> Rep:
         return EmptyRep()
     if first is None and last is None:
         return g
-    return PeriodicRep.from_runs(g.period, g.step, g._runs, (first, last), g._anchor)
+    return PeriodicRep._from_runs(g.period, g.step, g._runs, (first, last), g._anchor)
 
 
 def _select(
@@ -343,7 +344,7 @@ def relabel(g: Rep, old: int, new: int) -> Rep:
         if lo is not None and hi is not None and lo > hi:
             raise ConversionError("cannot relabel an empty granularity")
         bounds = tuple(None if b is None else base + b for b in (lo, hi))
-    return PeriodicRep.from_runs(g.period, len(g.labels), runs, bounds)
+    return PeriodicRep._from_runs(g.period, len(g.labels), runs, bounds)
 
 
 def gstp_relabel(g: Rep) -> Rep:
@@ -363,7 +364,8 @@ def gstp_relabel(g: Rep) -> Rep:
 # ---------------------------------------------------------------------------
 # the operator table and the driver
 
-MAX_NESTING = 1000  # the deepest operator nesting convert_expression converts
+MAX_NESTING = ast.MAX_NESTING  # the language's limit, kept under its old name here
+_TOO_DEEP = partial(ConversionError, "expression nested too deeply to convert")
 
 
 _UNBOUNDED = ((0, False), (1, False))
@@ -414,49 +416,44 @@ def convert_expression(
     conversion.  ``cache`` maps already-converted subexpressions (by
     structural equality) to their representations; reuse it across calls
     only with an unchanged ``minimize`` flag.  A ``Name`` node is allowed
-    only where ``cache`` binds it, as :func:`convert_calendar` does.  The
-    walk keeps its own stack; an operator nested more than
-    :data:`MAX_NESTING` deep raises :class:`ConversionError`.
+    only where ``cache`` binds it, as :func:`convert_calendar` does.  An
+    operator nested more than :data:`MAX_NESTING` deep raises
+    :class:`ConversionError`.
     """
     if cache is None:
         cache = {}
-    done: list[Rep] = []  # converted operands, in post-order
-    # (node, path above it, None) reaches a node; (node, its path, len(done))
-    # finishes it once its operands are converted
-    stack: list = [(expr, (), None)]
-    while stack:
-        node, path, mark = stack.pop()
-        if mark is not None:
-            operands = done[mark:]
-            del done[mark:]
-            done.append(_convert(node, minimize, cache, max_period, path, operands))
-        elif node in cache:
-            done.append(_convert(node, minimize, cache, max_period))
-        else:
-            row = _TABLE.get(type(node))
-            if row is None:
-                raise ConversionError(
-                    f"expression still references {node.name!r}; rewrite it to the bottom first"
-                    if isinstance(node, ast.Name) else f"not a calendar expression: {node!r}",
-                    path,
-                )
-            here = path + (row[0],)
-            if type(node) is ast.Subset and path:
-                raise ConversionError(ast.SUBSET_NOT_OUTERMOST, here)
-            arity = len(row[2])
-            if arity and len(here) > MAX_NESTING:
-                raise ConversionError("expression nested too deeply to convert")
-            stack.append((node, here, len(done)))
-            for operand in reversed(node[len(node) - arity :]):
-                stack.append((operand, here, None))
-    return done[0]
+    path: list[str] = []  # the names of the operators entered and not yet left
+
+    # the walk's entry (no operands) and exit in one function, its state bound
+    # as defaults: per call of convert_expression they cost less than cells
+    def step(node, operands=None, minimize=minimize, cache=cache, max_period=max_period, path=path):
+        if operands is not None:
+            result = _convert(node, minimize, cache, max_period, path, operands)
+            path.pop()
+            return result
+        if node in cache:
+            return _convert(node, minimize, cache, max_period)
+        row = _TABLE.get(type(node))
+        if row is None:
+            raise ConversionError(
+                f"expression still references {node.name!r}; rewrite it to the bottom first"
+                if isinstance(node, ast.Name) else f"not a calendar expression: {node!r}",
+                tuple(path),
+            )
+        path.append(row[0])
+        if row[0] == "subset" and len(path) > 1:
+            raise ConversionError(ast.SUBSET_NOT_OUTERMOST, tuple(path))
+
+    return ast.walk(expr, step, step, _TOO_DEEP)
 
 
-def _convert(expr, minimize, cache, max_period, here=(), operands=None):
+def _convert(expr, minimize, cache, max_period, path=(), operands=None):
     """One node reference: without ``operands``, its cached rep; with them,
     the node converted from its converted operands, minimized and cached.
-    The first check that fails names the error: ``algebra.SCALAR_RULES``,
-    then the empty operands, then the operand preconditions."""
+    The first check that fails names the error, with ``path``, the names of
+    the operators from the root down to the node: ``algebra.SCALAR_RULES``,
+    then the empty operands, then the operand preconditions.  An operand
+    that an empty operand's rule returns must also carry no bounds."""
     if operands is None:
         return cache[expr]
     name, convert, empty, pre = _TABLE[type(expr)]
@@ -470,6 +467,8 @@ def _convert(expr, minimize, cache, max_period, here=(), operands=None):
             if isinstance(ruled[-1], str):
                 raise ConversionError(ruled[-1])
             result = operands[ruled[-1]]
+            if getattr(result, "bounds", None) is not None:
+                raise ConversionError(f"operand of {name} carries subset bounds")
         else:
             for i, full in pre:
                 rep = operands[i]
@@ -480,7 +479,7 @@ def _convert(expr, minimize, cache, max_period, here=(), operands=None):
                                           f"({len(rep.labels)} granules per window of {rep.step})")
             result = convert(expr, operands, max_period)
     except ConversionError as exc:
-        raise ConversionError(exc.message, here) from None
+        raise ConversionError(exc.message, tuple(path)) from None
     if minimize and operands:
         result = minimize_rep(result)
     cache[expr] = result

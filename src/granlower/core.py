@@ -144,7 +144,7 @@ class PeriodicRep:
     ``gapless`` says whether the granules cover every bottom instant.
     After construction no attribute can be set or deleted.  The caches
     ``_cover`` and ``_anchor`` are filled in once, lazily or (for the anchor)
-    by :meth:`from_runs`, through ``object.__setattr__``.
+    by :meth:`_from_runs`, through ``object.__setattr__``.
     """
 
     __slots__ = (
@@ -198,7 +198,7 @@ class PeriodicRep:
                 bounds = None
             elif lo is not None and hi is not None and lo > hi:
                 raise GranularityError(f"bounds {bounds} are inverted")
-        # stored as an _Unsealed (from_runs builds one), whose slot stores skip __setattr__
+        # stored as an _Unsealed (_from_runs builds one), whose slot stores skip __setattr__
         if type(self) is PeriodicRep:
             object.__setattr__(self, "__class__", _Unsealed)
         self.period = period
@@ -223,14 +223,14 @@ class PeriodicRep:
         raise AttributeError(f"PeriodicRep is immutable; cannot delete {name!r}")
 
     @staticmethod
-    def from_runs(
+    def _from_runs(
         period: int,
         step: int,
         runs: dict[int, Runs],
         bounds: Bounds | None = None,
         anchor: int | None = None,
     ) -> "PeriodicRep":
-        """Build from canonical runs directly; the dict is kept, not copied.
+        """Package-private: build from canonical runs; the dict is kept, not copied.
 
         ``anchor``, when given, must be the granularity's :attr:`anchor_label`;
         when it is the first label, the rep keeps the key object
@@ -244,7 +244,7 @@ class PeriodicRep:
         """The unbounded core: the same granularity without subset bounds."""
         if self.bounds is None:
             return self
-        return PeriodicRep.from_runs(self.period, self.step, self._runs, anchor=self._anchor)
+        return PeriodicRep._from_runs(self.period, self.step, self._runs, anchor=self._anchor)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -566,7 +566,7 @@ def normalize_alignment(granules: Mapping[int, Runs], period: int, step: int) ->
         for lab, g in families.items():
             s = -((lab - anchor) // step)  # the copy at or just above the anchor
             explicit[lab + s * step] = shift_runs(g, s * period) if s else g
-    return PeriodicRep.from_runs(period, step, explicit, anchor=anchor)
+    return PeriodicRep._from_runs(period, step, explicit, anchor=anchor)
 
 
 def consecutive_spans(

@@ -53,7 +53,7 @@ def _reduce(rep: PeriodicRep, alpha: int) -> PeriodicRep:
     step = rep.step // alpha
     cutoff = rep.first_label + step
     runs = {a: g for a, g in rep._runs.items() if a < cutoff}
-    return PeriodicRep.from_runs(rep.period // alpha, step, runs, rep.bounds, rep._anchor)
+    return PeriodicRep._from_runs(rep.period // alpha, step, runs, rep.bounds, rep._anchor)
 
 
 def minimize(rep: Rep) -> Rep:

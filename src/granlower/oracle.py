@@ -69,56 +69,19 @@ def _bottom_map(lo: int, hi: int) -> _GranuleMap:
     return {t: ((t,), True) for t in range(lo, hi + 1)}
 
 
-def _eval(
-    expr: ast.CalExpr, bottom: _GranuleMap, bound: Mapping[str, _GranuleMap]
-) -> _GranuleMap:
+def _eval(expr: ast.CalExpr, bottom: _GranuleMap, bound: Mapping[str, _GranuleMap]) -> _GranuleMap:
     # bottom is the window's own bottom map, shared and never mutated
-    def ev(sub: ast.CalExpr) -> _GranuleMap:
-        return _eval(sub, bottom, bound)
-
-    match expr:
-        case ast.Bottom():
+    def leave(node: ast.CalExpr, maps: list[_GranuleMap]) -> _GranuleMap:
+        if type(node) is ast.Bottom:
             return bottom
-        case ast.Group(size, sub):
-            return _ev_group(size, ev(sub))
-        case ast.Alter(slot, change, cycle, unit, base):
-            return _ev_alter(slot, change, cycle, ev(unit), ev(base))
-        case ast.Shift(offset, sub):
-            return {j + offset: e for j, e in ev(sub).items()}
-        case ast.Combine(container, pieces):
-            return _ev_combine(ev(container), ev(pieces))
-        case ast.AnchoredGroup(filler, anchors):
-            return _ev_anchored(ev(filler), ev(anchors))
-        case ast.Subset(blo, bhi, sub):
-            return {
-                j: e
-                for j, e in ev(sub).items()
-                if (blo is None or j >= blo) and (bhi is None or j <= bhi)
-            }
-        case ast.SelectDown(start, count, source, container):
-            return _ev_select_down(start, count, ev(source), ev(container))
-        case ast.SelectUp(source, witness):
-            return _ev_select_up(ev(source), ev(witness))
-        case ast.SelectIntersect(start, count, source, probe):
-            return _ev_select_intersect(start, count, ev(source), ev(probe))
-        case ast.Union(a, b):
-            return _ev_union(ev(a), ev(b))
-        case ast.Intersection(a, b):
-            m1, m2 = ev(a), ev(b)
-            return {
-                j: (g, tr and m2[j][1]) for j, (g, tr) in m1.items() if j in m2
-            }
-        case ast.Difference(a, b):
-            m1, m2 = ev(a), ev(b)
-            return {j: e for j, e in m1.items() if j not in m2}
-        case ast.Name(name):
-            # memoized maps are shared between their users, never mutated
-            if name not in bound:
-                raise ValueError(
-                    f"expression references {name!r}; rewrite it first or pass its definitions"
-                )
-            return bound[name]
-    raise TypeError(f"not a calendar expression: {expr!r}")
+        if type(node) is not ast.Name:
+            return _EVAL[type(node)](node, *maps)
+        # memoized maps are shared between their users, never mutated
+        if node.name not in bound:
+            raise ValueError(f"expression references {node.name!r}; rewrite it first or pass its definitions")
+        return bound[node.name]
+
+    return ast.walk(expr, leave, too_deep=lambda: OracleError("expression nested too deeply to evaluate"))
 
 
 def _ev_group(size: int, sub: _GranuleMap) -> _GranuleMap:
@@ -241,11 +204,23 @@ def _ev_select_intersect(start, count, source: _GranuleMap, probe: _GranuleMap) 
     return out
 
 
-def _ev_union(m1: _GranuleMap, m2: _GranuleMap) -> _GranuleMap:
-    out = dict(m1)
-    for j, e in m2.items():
-        out.setdefault(j, e)
-    return out
+# operator node class -> (node, its operands' maps) -> its map
+_EVAL = {
+    ast.Group: lambda e, sub: _ev_group(e.size, sub),
+    ast.Alter: lambda e, unit, base: _ev_alter(e.slot, e.change, e.cycle, unit, base),
+    ast.Shift: lambda e, sub: {j + e.offset: x for j, x in sub.items()},
+    ast.Combine: lambda e, container, pieces: _ev_combine(container, pieces),
+    ast.AnchoredGroup: lambda e, filler, anchors: _ev_anchored(filler, anchors),
+    ast.Subset: lambda e, sub: {
+        j: x for j, x in sub.items() if (e.lo is None or j >= e.lo) and (e.hi is None or j <= e.hi)
+    },
+    ast.SelectDown: lambda e, source, container: _ev_select_down(e.start, e.count, source, container),
+    ast.SelectUp: lambda e, source, witness: _ev_select_up(source, witness),
+    ast.SelectIntersect: lambda e, source, probe: _ev_select_intersect(e.start, e.count, source, probe),
+    ast.Union: lambda e, m1, m2: m1 | {j: x for j, x in m2.items() if j not in m1},
+    ast.Intersection: lambda e, m1, m2: {j: (g, tr and m2[j][1]) for j, (g, tr) in m1.items() if j in m2},
+    ast.Difference: lambda e, m1, m2: {j: x for j, x in m1.items() if j not in m2},
+}
 
 
 class Definitions:

@@ -14,7 +14,7 @@ def scaled(rep: PeriodicRep, alpha: int) -> PeriodicRep:
         for a, g in rep._runs.items()
         for r in range(alpha)
     }
-    return PeriodicRep.from_runs(rep.period * alpha, rep.step * alpha, runs, rep.bounds)
+    return PeriodicRep._from_runs(rep.period * alpha, rep.step * alpha, runs, rep.bounds)
 
 
 @pytest.fixture

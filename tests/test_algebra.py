@@ -1,5 +1,4 @@
 import re
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from granlower import algebra as ast
 from granlower.algebra import (
+    MAX_NESTING,
     CalendarDoc,
     CalendarSyntaxError,
     needed_definitions,
@@ -162,60 +162,6 @@ class TestParse:
             parse_calendar(source)
         assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
 
-    # depth_gaps() by Python version; 3.12 stopped counting C calls, such as
-    # tuple.__new__, against the recursion limit
-    DEPTH_GAPS = {
-        (3, 10): (11,) * 8, (3, 11): (11,) * 8,
-        (3, 12): (11, 11, 13, 13) * 2, (3, 13): (11, 11, 13, 13) * 2,
-    }
-
-    def test_recursion_stops_the_parser_at_a_fixed_depth(self):
-        if sys.version_info[:2] not in self.DEPTH_GAPS:
-            pytest.skip(f"no recorded depths for Python {sys.version_info[:2]}")
-        assert depth_gaps() == self.DEPTH_GAPS[sys.version_info[:2]]
-
-
-def depth_gaps() -> tuple[int, ...]:
-    """For each nesting (operator, leaf), P0 + P1 - 2 * (D0 + D1), where P is
-    the depth a plain recursion reaches and D the deepest nesting that
-    parses, each at two adjacent stack depths.  The stack already in use
-    cancels out, so the gap depends only on how deep the parser's calls go
-    below its two frames a level, which sets where RecursionError stops it."""
-
-    def deepest(fits, frames):
-        if frames:
-            return deepest(fits, frames - 1)
-        lo, hi = 0, sys.getrecursionlimit()
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        return lo
-
-    def descend(n):
-        return n == 0 or descend(n - 1)
-
-    def recursion(n):
-        try:
-            return descend(n)
-        except RecursionError:
-            return False
-
-    def nesting(head, tail, leaf):
-        def fits(n):
-            text = f"calendar c bottom day;\nw = group(7, day);\nx = {head * n}{leaf}{tail * n};\n"
-            try:
-                return bool(parse_calendar(text))
-            except CalendarSyntaxError:
-                return False
-        return fits
-
-    plain = deepest(recursion, 0) + deepest(recursion, 1)
-    heads = (("shift(1, ", ")"), ("group(2, ", ")"), ("union(", ", day)"), ("selectdown(1, 1, day, ", ")"))
-    return tuple(
-        plain - 2 * (deepest(nesting(head, tail, leaf), 0) + deepest(nesting(head, tail, leaf), 1))
-        for head, tail in heads for leaf in ("day", "w")
-    )
-
 
 # The tokenizer the parser used before it took token texts from one
 # findall: one finditer match per token or run of whitespace, each token kept
@@ -328,6 +274,50 @@ class TestPrint:
         assert set(re.findall(r"\b([a-z]+)\(", src)) == set(ast.OPERATORS)
         doc = parse_calendar(src)
         assert parse_calendar(print_calendar(doc)) == doc
+
+
+    def test_round_trip_at_max_nesting(self):
+        day = "shift(1, " * (MAX_NESTING - 1) + "d" + ")" * (MAX_NESTING - 1)
+        doc = parse_calendar(f"calendar c bottom d;\nx = subset(1, inf, {day});\ny = union({day}, x);\n")
+        assert parse_calendar(print_calendar(doc)) == doc
+
+
+class TestWalk:
+    def test_entry_exit_and_skipped_operands(self):
+        events = []
+
+        def enter(node):
+            events.append(("enter", type(node).__name__))
+            return "skipped" if type(node) is ast.Group else None
+
+        def leave(node, values):
+            events.append(("leave", type(node).__name__, *values))
+            return type(node).__name__
+
+        expr = ast.Union(ast.Shift(1, ast.Bottom()), ast.Group(2, ast.Name("w")))
+        assert ast.walk(expr, leave, enter) == "Union"
+        assert events == [
+            ("enter", "Union"), ("enter", "Shift"), ("enter", "Bottom"), ("leave", "Bottom"),
+            ("leave", "Shift", "Bottom"), ("enter", "Group"), ("leave", "Union", "Shift", "skipped"),
+        ]
+
+    def test_nesting_limit_counts_paths_not_nodes(self):
+        # each level holds the one below twice: 2**depth paths, depth + 1 nodes
+        def doubled(depth):
+            expr = ast.Bottom()
+            for _ in range(depth):
+                expr = ast.Union(expr, expr)
+            return expr
+
+        class TooDeep(Exception):
+            pass
+
+        seen = set()
+        # entering a node met before skips its operands
+        ast.walk(doubled(MAX_NESTING), enter=lambda node: id(node) in seen or seen.add(id(node)), too_deep=TooDeep)
+        assert len(seen) == MAX_NESTING + 1
+        with pytest.raises(TooDeep):  # before any node is entered
+            ast.walk(doubled(MAX_NESTING + 1), enter=pytest.fail, too_deep=TooDeep)
 
 
 class TestValidate:
@@ -634,6 +624,23 @@ class TestNodeValues:
         # same fields, different operator
         assert ast.Union(_B, _M) != ast.Intersection(_B, _M)
         assert len({ast.Union(_B, _M), ast.Intersection(_B, _M), ast.Difference(_B, _M)}) == 3
+
+    def test_deep_trees_compare_and_hash_without_recursion(self):
+        def shifts(leaf):
+            for _ in range(MAX_NESTING):
+                leaf = ast.Shift(1, leaf)
+            return leaf
+
+        def under_frames(n, fn):
+            return under_frames(n - 1, fn) if n else fn()
+
+        def check():
+            a, b, c = shifts(_B), shifts(_B), shifts(_M)
+            assert a == b and not a != b and a is not b
+            assert hash(a) == hash(b) and {a: 1}[b] == 1 and b in {a}
+            assert a != c and not a == c and c not in {a: 1}
+
+        under_frames(300, check)
 
     @pytest.mark.parametrize("node, fields, text", NODES, ids=NODE_IDS)
     def test_never_equal_to_a_tuple(self, node, fields, text):

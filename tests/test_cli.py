@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granlower import cli
-from granlower.algebra import parse_calendar
+from granlower.algebra import MAX_NESTING, OPERATORS, parse_calendar
 from granlower.cli import main
 from granlower.core import EmptyRep, PeriodicRep
 
@@ -709,14 +709,14 @@ class TestDeepDefinitions:
 
 
     @pytest.mark.parametrize("command", ["convert", "verify"])
-    def test_nesting_past_the_recursion_limit_exits_2(self, capsys, tmp_path, command):
-        # the parser recurses once per nesting level; past the interpreter's
-        # limit the definition is a syntax error at the token reached
+    def test_nesting_past_max_nesting_exits_2(self, capsys, tmp_path, command):
+        # one operator more than the language allows is a syntax error at
+        # that operator's keyword, after "x = " and MAX_NESTING "shift(1, "
         path = tmp_path / "nested.cal"
-        path.write_text(nested_shifts(600))
+        path.write_text(nested_shifts(MAX_NESTING + 1))
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (2, "")
-        assert err.startswith(f"{path}:2:") and err.endswith(": expression nested too deeply\n")
+        assert err == f"{path}:2:{len('x = ') + len('shift(1, ') * MAX_NESTING + 1}: expression nested too deeply\n"
 
     def test_deep_nesting_converts(self, capsys, tmp_path):
         path = tmp_path / "nested.cal"
@@ -726,45 +726,73 @@ class TestDeepDefinitions:
         (entry,) = json.loads(out)["granularities"]
         assert entry["rep"]["labels"] == [{"label": 301, "bottoms": [1]}]
 
-    @pytest.mark.parametrize(
-        "head, tail",
-        [("shift(1, ", ")"), ("selectdown(1, 1, ", ", day)")],
-        ids=["shift", "selectdown"],
-    )
-    def test_deepest_nestings_that_parse_convert(self, tmp_path, head, tail):
-        # conversion keeps its own stack, so every nesting that parses also
-        # converts, verifies and answers queries, on every interpreter
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        argvs = {
-            "convert": [], "verify": [], "up": ["x", "--instant", "5"], "expand": ["x", "--labels", "1..3"],
-        }
+    @pytest.mark.parametrize("word", list(OPERATORS))
+    def test_deepest_nestings_that_parse_convert(self, capsys, tmp_path, word):
+        # every walk keeps its own stack, so each operator nested as deep as
+        # the language allows converts, verifies and answers queries with the
+        # Python stack already in use; one level more is a syntax error
+        def under_frames(n, argv):
+            return under_frames(n - 1, argv) if n else run(capsys, *argv)
 
-        def outcomes(depth, commands):
-            path = tmp_path / f"nested{depth}.cal"
-            path.write_text("calendar c bottom day;\nx = " + head * depth + "day" + tail * depth + ";\n")
-            procs = [
-                subprocess.Popen(
-                    [sys.executable, "-m", "granlower.cli", command, str(path), *argvs[command]],
-                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                    env=dict(os.environ, PYTHONPATH=src),
-                )
-                for command in commands
-            ]
-            errs = [p.communicate(timeout=60)[1] for p in procs]
-            return {c: (p.returncode, err) for c, p, err in zip(commands, procs, errs)}
+        path = tmp_path / "nested.cal"
+        path.write_text(f"calendar c bottom day;\nnone = difference(day, day);\nx = {nesting(word, MAX_NESTING)};\n")
+        for command, extra in {"convert": [], "verify": [], "up": ["x", "--instant", "5"],
+                               "expand": ["x", "--labels", "1..3"]}.items():
+            code, out, err = under_frames(300, [command, str(path), *extra])
+            assert (code, err) == (0, ""), command
+            assert out and (command != "verify" or out.count("ok ") == 2)
+        path.write_text(f"calendar c bottom day;\nnone = difference(day, day);\nx = {nesting(word, MAX_NESTING + 1)};\n")
+        code, out, err = run(capsys, "convert", str(path))
+        assert (code, out) == (2, "") and err.endswith(": expression nested too deeply\n")
 
-        # the last depth that parses: 300 does, 600 does not (see above)
-        lo, hi = 300, 600
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if outcomes(mid, ["convert"])["convert"][0] != 2 else (lo, mid)
-        for depth in range(lo, lo - 10, -1):
-            assert outcomes(depth, list(argvs)) == dict.fromkeys(argvs, (0, "")), depth
+    @pytest.mark.parametrize("command", ["convert", "verify"])
+    @pytest.mark.parametrize("depth", [330, MAX_NESTING - 1], ids=["330", "max"])
+    def test_definitions_sharing_a_deep_nesting(self, capsys, tmp_path, command, depth):
+        # y's nesting equals x's but is another object: converting y finds
+        # x's copy in the driver's cache and compares the two level by level
+        shared = "shift(1, " * depth + "day" + ")" * depth
+        path = tmp_path / "twin.cal"
+        path.write_text(f"calendar twin bottom day;\nx = shift(1, {shared});\ny = group(2, {shared});\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 0, err
+        if command == "verify":
+            assert [line.split()[:2] for line in out.splitlines()] == [["ok", "x"], ["ok", "y"]]
+        else:
+            x, y = (entry["rep"] for entry in json.loads(out)["granularities"])
+            assert x["labels"] == [{"label": depth + 2, "bottoms": [1]}]
+            assert (y["P"], [len(g["bottoms"]) for g in y["labels"]]) == (2, [2])
 
 
 def nested_shifts(n: int) -> str:
     """One definition, ``shift(1, ...)`` nested ``n`` deep around the bottom."""
     return "calendar nested bottom day;\nx = " + "shift(1, " * n + "day" + ")" * n + ";\n"
+
+
+# keyword -> the text before and after one level of its nesting: each level
+# keeps every granule of the level below (shift adds one to each label, alter
+# lengthens each granule by a day, and "none" is empty)
+NESTINGS = {
+    "group": ("group(1, ", ")"),
+    "alter": ("alter(1, 1, 1, day, ", ")"),
+    "shift": ("shift(1, ", ")"),
+    "combine": ("combine(", ", day)"),
+    "anchor": ("anchor(", ", day)"),
+    "selectdown": ("selectdown(1, 1, ", ", day)"),
+    "selectup": ("selectup(", ", day)"),
+    "selectintersect": ("selectintersect(1, 1, day, ", ")"),
+    "union": ("union(", ", day)"),
+    "intersect": ("intersect(", ", day)"),
+    "difference": ("difference(", ", none)"),
+}
+
+
+def nesting(word: str, depth: int) -> str:
+    """``word``'s operator nested ``depth`` deep around day; subset, which
+    may only be outermost, bounds a group(1, ...) nesting one shallower."""
+    if word == "subset":
+        return "subset(1, inf, " + nesting("group", depth - 1) + ")"
+    head, tail = NESTINGS[word]
+    return head * depth + "day" + tail * depth
 
 
 class TestSparseLcm:

@@ -600,7 +600,6 @@ OPERANDS = {
 
 DAY = "P=1 N=1 1:1"
 MONDAY = "P=7 N=7 1:1"
-BOUNDED = "P=1 N=1 1:1 bounds=1..100"
 
 
 def not_full(op):
@@ -711,9 +710,9 @@ ORDER = [
     (ast.AnchoredGroup(S, B), not_full("anchor")),
     (ast.Combine(B, S), bounds("combine")),
     (ast.Combine(S, B), bounds("combine")),
-    (ast.Union(B, E), BOUNDED),
-    (ast.Union(E, B), BOUNDED),
-    (ast.Difference(B, E), BOUNDED),
+    (ast.Union(B, E), bounds("union")),
+    (ast.Union(E, B), bounds("union")),
+    (ast.Difference(B, E), bounds("difference")),
     (ast.Difference(E, B), "empty"),
     (ast.Intersection(B, E), "empty"),
     (ast.Intersection(E, B), "empty"),
@@ -955,6 +954,26 @@ class TestConvertExpression:
         with pytest.raises(ConversionError) as err:
             under_frames(300, lambda: convert_expression(shifts(deepest + 1)))
         assert (err.value.message, err.value.path) == ("expression nested too deeply to convert", ())
+
+    @pytest.mark.parametrize("call, error", [
+        ("convert.convert_expression(expr)", "ConversionError: expression nested too deeply to convert"),
+        ("oracle.eval_window(expr, 1, 30)", "OracleError: expression nested too deeply to evaluate"),
+    ], ids=["convert", "oracle"])
+    def test_chain_far_past_the_limit(self, call, error):
+        # deep enough that hashing or comparing it recursively would overflow
+        # the C stack: the nesting limit has to stop it before either happens
+        script = (
+            "from granlower import algebra, convert, oracle\n"
+            "expr = algebra.Bottom()\n"
+            "for _ in range(300_000):\n"
+            "    expr = algebra.Shift(1, expr)\n"
+            f"{call}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(convert.__file__).parents[1])),
+        )
+        assert proc.returncode == 1 and proc.stderr.splitlines()[-1].endswith(error), proc.stderr[-500:]
 
 
 class TestConvertCalendar:

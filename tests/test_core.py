@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from granlower import minimize
 from granlower.core import (
     EmptyRep,
     GranularityError,
@@ -264,6 +265,45 @@ class TestImmutable:
 
 
 class TestProperties:
+    @given(periodic_reps(), st.lists(st.sampled_from(("json", "unbounded", "minimize", "bounds", "doubled", "query")),
+                                     max_size=8), st.integers(-3, 3))
+    def test_public_calls_leave_every_rep_as_built(self, rep, calls, lo):
+        # each rep made by a public call, with a copy of what defined it: a
+        # period, step, window and bounds of the same granularity
+        window = {a: list(rep.expand(a)) for a in rep.labels}
+        made = [(PeriodicRep(rep.period, rep.step, window), (rep.period, rep.step, dict(rep.explicit), None))]
+        handed = [window, *window.values()]  # the callers' own data, cleared at the end
+        for call in calls:
+            last = made[-1][0]
+            source = (last.period, last.step, dict(last.explicit), last.bounds)
+            if call == "json":
+                data = last.to_json_dict()
+                made.append((PeriodicRep.from_json_dict(data), source))
+                handed.extend(e["bottoms"] for e in data["labels"])
+            elif call == "unbounded":
+                made.append((last.unbounded(), source[:3] + (None,)))
+            elif call == "minimize":
+                made.append((minimize(last), source))
+            elif call == "bounds":
+                made.append((PeriodicRep(*source[:3], (lo, lo + 3)), source[:3] + ((lo, lo + 3),)))
+            elif call == "doubled" and last.period < 50:  # the same granules, two periods a window
+                core = last.unbounded()
+                twice = {a: g for a in range(last.first_label, last.first_label + 2 * last.step) if (g := core.expand(a))}
+                made.append((PeriodicRep(2 * last.period, 2 * last.step, twice, last.bounds),
+                             (2 * last.period, 2 * last.step, dict(twice), last.bounds)))
+                handed.append(twice)
+            else:  # fill the lazy caches
+                last.up(lo), last.expand(lo), last.anchor_label
+        for data in handed:
+            data.clear()
+        for r, source in made:
+            fresh = PeriodicRep(*source)
+            labels = range(fresh.labels[0] - 2 * fresh.step, fresh.labels[-1] + 2 * fresh.step)
+            instants = range(-fresh.period, 3 * fresh.period)
+            assert (r.gapless, r.anchor_label) == (fresh.gapless, fresh.anchor_label)
+            assert [r.expand(a) for a in labels] == [fresh.expand(a) for a in labels]
+            assert [r.up(t) for t in instants] == [fresh.up(t) for t in instants]
+
     @given(periodic_reps(), st.integers(-3, 3))
     def test_expansion_periodicity(self, rep, cycles):
         for a in rep.labels:
